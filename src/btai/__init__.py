@@ -31,6 +31,7 @@ from .domain import (
 )
 from .episode import EpisodeResult, report, run_episode, write_trace
 from .inference import (
+    CompiledModel,
     Factor,
     InferenceOutcome,
     ModelError,

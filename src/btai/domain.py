@@ -191,7 +191,10 @@ class StateRegistry:
                 raise DomainError(f"action {action.name}: bad postcondition index on {sid}")
         for sid, b in action.transitions.items():
             state = self.get(sid)
-            mat = check_stochastic_matrix(b, f"{action.name} transition[{sid}]")
+            try:
+                mat = check_stochastic_matrix(b, f"{action.name} transition[{sid}]")
+            except ModelError as exc:
+                raise DomainError(str(exc)) from exc
             if mat.shape[0] != state.m:
                 raise DomainError(f"action {action.name}: transition[{sid}] wrong size")
             if sid not in post:
@@ -260,14 +263,6 @@ def holds(pred: Predicate, logical: Mapping[str, LogicalState],
     return logical[pred.state_id].one_hot[pred.required_index] == 1.0
 
 
-@dataclass(frozen=True)
-class PriorEntry:
-    state_id: str
-    index: int
-    value: float
-    origin: str  # "bt" or "precondition"
-
-
 class PriorSet:
     """Run-time preference store.
 
@@ -302,12 +297,6 @@ class PriorSet:
 
     def has_pushed(self, state_id: str) -> bool:
         return state_id in self._pushed
-
-    def nominal_targets(self) -> list[tuple[str, int]]:
-        out = []
-        for targets in self._nominal.values():
-            out.extend(targets)
-        return out
 
     def assemble(self, state_id: str, m: int) -> np.ndarray:
         """Log-preference vector for one state: nominal 1s, pushed 2s, else 0."""

@@ -27,11 +27,13 @@ from .domain import (
     logical_state,
     update_beliefs,
 )
+from .inference import CompiledModel
 from .scenario import Scenario
 from .selector import (
     SelectorVerdict,
     adaptive_select,
     chain_trace,
+    compile_model,
     split_prepares_segments,
 )
 from .world import World
@@ -53,6 +55,9 @@ class EpisodeContext:
         self.actions_by_name = {a.name: a for a in actions}
         self.priors = priors
         self.idle_name = idle_name
+        # compiled on the first prior tick, so trees without prior leaves
+        # never pay for it; one per episode scopes its memo to the episode
+        self.model: Optional[CompiledModel] = None
         self.beliefs: dict[str, np.ndarray] = {}
         self.observations = {}
         self.logical = {}
@@ -90,10 +95,12 @@ class EpisodeContext:
 
     def prior_tick(self, node: Prior) -> TickStatus:
         self.priors.set_nominal(node, node.targets)
+        if self.model is None:
+            self.model = compile_model(self.registry, self.actions)
         verdict = adaptive_select(
             self.priors, self.beliefs, self.observations, self.actions,
             self.logical, self.registry, execute=self._drive,
-            idle_name=self.idle_name,
+            idle_name=self.idle_name, model=self.model,
         )
         self.verdicts.append((node.node_id, verdict))
         return verdict.status

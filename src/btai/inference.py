@@ -11,7 +11,8 @@ policy posterior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,8 @@ def check_categorical(p, name: str = "distribution", tol: float = 1e-9) -> np.nd
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ModelError(f"{name} must be a non-empty vector")
+    if not np.all(np.isfinite(p)):
+        raise ModelError(f"{name} entries must be finite")
     if np.any(p < -tol) or np.any(p > 1 + tol):
         raise ModelError(f"{name} entries must lie in [0, 1]")
     if abs(p.sum() - 1.0) > tol:
@@ -58,17 +61,23 @@ def check_stochastic_matrix(mat, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ModelError(f"{name} must be square")
-    for j in range(mat.shape[1]):
+    # all columns at once; check_categorical names the first bad one
+    bad = (~np.isfinite(mat).all(axis=0) | (mat < -1e-9).any(axis=0)
+           | (mat > 1 + 1e-9).any(axis=0) | (np.abs(mat.sum(axis=0) - 1.0) > 1e-9))
+    for j in np.flatnonzero(bad):
         check_categorical(mat[:, j], f"{name} column {j}")
     return mat
 
 
 @dataclass(frozen=True)
 class Factor:
-    """Generative model of a single symbolic state.
+    """Self-contained generative model of a single symbolic state.
 
     ``transitions`` maps action name to that action's transition matrix for
     this state; actions without an entry leave the state alone (identity).
+    Construction validates every part.  A scenario's states reach the
+    planner through a :class:`CompiledModel` instead, built from inputs that
+    were validated when the scenario was parsed.
     """
 
     likelihood: np.ndarray                   # A, m x m
@@ -91,12 +100,6 @@ class Factor:
     @property
     def m(self) -> int:
         return self.prior.shape[0]
-
-    def transition(self, action: str) -> np.ndarray:
-        b = self.transitions.get(action)
-        if b is None:
-            return np.eye(self.m)
-        return np.asarray(b, dtype=float)
 
 
 def _check_observation(o, m: int):
@@ -267,81 +270,212 @@ class InferenceOutcome:
     policy_probs: np.ndarray
     free_energy: np.ndarray
     expected_free_energy: np.ndarray
-    # state id -> [policy][tau] belief vectors
+    # state id -> [policy][tau] belief vectors (read-only, shared with the
+    # model's memo)
     per_policy_beliefs: dict[str, list[list[np.ndarray]]]
-    # state id -> [tau] averaged belief vectors
-    averaged_beliefs: dict[str, list[np.ndarray]] = field(default_factory=dict)
     chosen_action: str = IDLE
 
+    @cached_property
+    def averaged_beliefs(self) -> dict[str, list[np.ndarray]]:
+        """State id -> [tau] policy-averaged beliefs, computed on first use."""
+        return {
+            sid: [bayesian_model_average(self.policy_probs, [b[t] for b in rows])
+                  for t in range(len(rows[0]))]
+            for sid, rows in self.per_policy_beliefs.items()
+        }
 
-def preferences_satisfied(
-    factors: Mapping[str, Factor],
-    observations: Mapping[str, Optional[np.ndarray]],
-) -> bool:
+
+def preferences_satisfied(current: Mapping[str, int],
+                          preferences: Mapping[str, np.ndarray]) -> bool:
     """True when the current most likely value of every state is already a
     maximally preferred one, i.e. no action can reduce expected cost."""
-    for sid, factor in factors.items():
-        o = observations.get(sid)
-        belief = factor.prior
-        if o is not None:
-            belief = softmax(safe_log(belief) + safe_log(factor.likelihood).T @ np.asarray(o, float))
-        current = int(np.argmax(belief))
-        if factor.preferences[current] < factor.preferences.max() - 1e-12:
+    for sid, index in current.items():
+        c = preferences[sid]
+        if c[index] < c.max() - 1e-12:
             return False
     return True
 
 
+class _StateModel:
+    """Compiled static part of one state factor: the likelihood entry (key,
+    A, log-A) and one transition entry (key, B) per acting action.  Every
+    action without an entry shares the identity entry."""
+
+    __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions")
+
+    def __init__(self, likelihood: tuple[int, np.ndarray], identity: tuple[int, np.ndarray],
+                 transitions: dict[str, tuple[int, np.ndarray]]):
+        self.key, self.likelihood = likelihood
+        self.log_likelihood = safe_log(self.likelihood)
+        self.identity = identity
+        self.transitions = transitions
+
+    def transition(self, action: str) -> tuple[int, np.ndarray]:
+        return self.transitions.get(action, self.identity)
+
+
+class _Evidence:
+    """Memo entry for one (likelihood, prior belief, observation): the
+    current value, and per transition key the evaluated :class:`_Term`.
+    States with equal likelihoods share an entry, so the transition comes
+    from the asking state."""
+
+    __slots__ = ("prior", "observation", "current", "terms")
+
+    def __init__(self, state: _StateModel, prior, observation):
+        self.prior = prior
+        self.observation = observation
+        # most likely value once this tick's observation is folded in
+        belief = prior
+        if observation is not None:
+            belief = softmax(safe_log(prior) + state.log_likelihood.T @ observation)
+        self.current = int(np.argmax(belief))
+        self.terms: dict[int, _Term] = {}
+
+    def term(self, state: _StateModel, action: str) -> "_Term":
+        key, b = state.transition(action)
+        term = self.terms.get(key)
+        if term is None:
+            a = state.likelihood
+            bs = [b] * (DEFAULT_HORIZON - 1)
+            obs = [self.observation] + [None] * (DEFAULT_HORIZON - 1)
+            beliefs = update_posterior_states(bs, a, self.prior, obs)
+            for belief in beliefs:
+                belief.flags.writeable = False
+            f = variational_free_energy(beliefs, bs, a, self.prior, obs)
+            term = self.terms[key] = _Term(a, beliefs, f)
+        return term
+
+
+class _Term:
+    """Posterior beliefs and F of one (likelihood, transition, prior belief,
+    observation), plus G for each preference vector seen so far."""
+
+    __slots__ = ("likelihood", "beliefs", "free_energy", "expected")
+
+    def __init__(self, likelihood: np.ndarray, beliefs: list[np.ndarray],
+                 free_energy: float):
+        self.likelihood = likelihood
+        self.beliefs = beliefs
+        self.free_energy = free_energy
+        self.expected: dict[bytes, float] = {}
+
+    def expected_free_energy(self, c: np.ndarray, c_key: bytes) -> float:
+        g = self.expected.get(c_key)
+        if g is None:
+            g = self.expected[c_key] = expected_free_energy(self.beliefs, self.likelihood, c)
+        return g
+
+
+class CompiledModel:
+    """Static part of a factorized generative model, prepared once, plus the
+    memo of every term evaluated with it.
+
+    Per state it holds the likelihood A and log-A, and per acting action the
+    transition B (see :class:`_StateModel`).  The inputs are trusted: they
+    were validated where they were parsed (scenario files) or constructed
+    (:class:`Factor`).
+
+    A state enters its terms only through A: posterior beliefs and F depend
+    on (A, B, prior belief, observation), and G on those plus the
+    preferences C.  Matrices are keyed by their bytes, so states and actions
+    with equal matrices share keys, and each distinct key is evaluated once
+    and then read back.  Build one model per episode: the memo then lives
+    exactly as long as the episode, and its size is bounded by the number of
+    distinct keys the episode produced.
+    """
+
+    def __init__(self, likelihoods: Mapping[str, np.ndarray],
+                 transitions: Mapping[str, Mapping[str, np.ndarray]]):
+        # equal matrices share one key, also across states
+        matrices: dict[bytes, tuple[int, np.ndarray]] = {}
+
+        def entry(mat) -> tuple[int, np.ndarray]:
+            mat = np.asarray(mat, dtype=float)
+            return matrices.setdefault(mat.tobytes(), (len(matrices), mat))
+
+        self.states: dict[str, _StateModel] = {}
+        for sid, a in likelihoods.items():
+            a = entry(a)
+            self.states[sid] = _StateModel(
+                a, entry(np.eye(a[1].shape[0])),
+                {name: entry(b) for name, b in transitions.get(sid, {}).items()})
+        self._memo: dict[tuple, _Evidence] = {}
+
+    @classmethod
+    def from_factors(cls, factors: Mapping[str, Factor]):
+        """Compile self-contained factors; returns (model, beliefs, preferences)."""
+        model = cls({sid: f.likelihood for sid, f in factors.items()},
+                    {sid: f.transitions for sid, f in factors.items()})
+        return (model, {sid: f.prior for sid, f in factors.items()},
+                {sid: f.preferences for sid, f in factors.items()})
+
+    def evidence(self, state: _StateModel, prior, observation) -> _Evidence:
+        prior = np.asarray(prior, dtype=float)
+        if observation is not None:
+            observation = np.asarray(observation, dtype=float)
+        key = (state.key, prior.tobytes(),
+               None if observation is None else observation.tobytes())
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = _Evidence(state, prior, observation)
+        return entry
+
+
 def run_active_inference(
-    factors: Mapping[str, Factor],
+    model: CompiledModel | Mapping[str, Factor],
     actions: Sequence[str],
     observations: Mapping[str, Optional[np.ndarray]],
-    horizon: int = DEFAULT_HORIZON,
+    beliefs: Optional[Mapping[str, np.ndarray]] = None,
+    preferences: Optional[Mapping[str, np.ndarray]] = None,
     idle_action: str = IDLE,
 ) -> InferenceOutcome:
     """One full action-selection round over all state factors.
 
-    Builds one one-step policy per candidate action, evaluates per-policy
-    beliefs, F and G independently per factor (summing F and G across
-    factors), forms the policy posterior, Bayesian-averages the beliefs and
-    picks the action.  When every preference is already satisfied the idle
-    action is returned outright: the exact expected-free-energy score would
-    otherwise favour stochastic self-transitions over doing nothing.
+    ``model`` is either a compiled model, with this round's prior ``beliefs``
+    (D) and ``preferences`` (C) per state, or a mapping of self-contained
+    :class:`Factor` objects, which is compiled on the spot.
+
+    Builds one one-step policy per candidate action, takes per-policy
+    beliefs, F and G per factor from the model's memo (summing F and G
+    across factors), forms the policy posterior and picks the action.  When
+    every preference is already satisfied the idle action is returned
+    outright: the exact expected-free-energy score would otherwise favour
+    stochastic self-transitions over doing nothing.
     """
     if not actions:
         raise NoPoliciesError("no candidate actions")
+    if not isinstance(model, CompiledModel):
+        model, beliefs, preferences = CompiledModel.from_factors(model)
     policies = [(a,) for a in actions]
-    n = len(policies)
-    f_total = np.zeros(n)
-    g_total = np.zeros(n)
+    f_total = [0.0] * len(policies)
+    g_total = [0.0] * len(policies)
     per_policy: dict[str, list[list[np.ndarray]]] = {}
+    current: dict[str, int] = {}
+    c_by_state: dict[str, np.ndarray] = {}
 
-    for sid, factor in factors.items():
-        o1 = observations.get(sid)
-        obs = [o1] + [None] * (horizon - 1)
-        per_policy[sid] = []
-        for p, (action,) in enumerate(policies):
-            bs = [factor.transition(action)] * (horizon - 1)
-            beliefs = update_posterior_states(bs, factor.likelihood, factor.prior, obs, horizon)
-            f_total[p] += variational_free_energy(beliefs, bs, factor.likelihood, factor.prior, obs)
-            g_total[p] += expected_free_energy(beliefs, factor.likelihood, factor.preferences)
-            per_policy[sid].append(beliefs)
+    for sid, state in model.states.items():
+        evidence = model.evidence(state, beliefs[sid], observations.get(sid))
+        c = c_by_state[sid] = np.asarray(preferences[sid], dtype=float)
+        c_key = c.tobytes()
+        current[sid] = evidence.current
+        rows = per_policy[sid] = []
+        for p, action in enumerate(actions):
+            term = evidence.term(state, action)
+            f_total[p] += term.free_energy
+            g_total[p] += term.expected_free_energy(c, c_key)
+            rows.append(term.beliefs)
 
     pi = policy_posterior(f_total, g_total)
-    averaged = {
-        sid: [bayesian_model_average(pi, [per_policy[sid][p][t] for p in range(n)])
-              for t in range(horizon)]
-        for sid in factors
-    }
-    if preferences_satisfied(factors, observations):
+    if preferences_satisfied(current, c_by_state):
         chosen = idle_action
     else:
         chosen = select_action(pi, policies)
     return InferenceOutcome(
         policies=policies,
         policy_probs=pi,
-        free_energy=f_total,
-        expected_free_energy=g_total,
+        free_energy=np.array(f_total),
+        expected_free_energy=np.array(g_total),
         per_policy_beliefs=per_policy,
-        averaged_beliefs=averaged,
         chosen_action=chosen,
     )

@@ -179,7 +179,15 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
         for sid, idx in raw.get("set", {}).items():
             if sid not in registry:
                 raise ScenarioError(source, f"perturbation names unknown state {sid!r}")
-            assignments.append((str(sid), int(idx)))
+            try:
+                idx = int(idx)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(
+                    source, f"perturbation at tick {at_tick}: bad index {idx!r} for {sid}") from exc
+            if not 0 <= idx < registry.get(sid).m:
+                raise ScenarioError(
+                    source, f"perturbation at tick {at_tick}: index {idx} out of range for {sid}")
+            assignments.append((str(sid), idx))
         obs_changes = []
         for sid, flag in raw.get("observable", {}).items():
             if sid not in registry:
@@ -187,6 +195,13 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
             obs_changes.append((str(sid), bool(flag)))
         perturbations.append(PerturbationEvent(at_tick, tuple(assignments),
                                                tuple(obs_changes)))
+
+    try:
+        noise_p = float(world.get("noise_p", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(source, "world.noise_p must be a number") from exc
+    if not 0.0 <= noise_p <= 1.0:
+        raise ScenarioError(source, f"world.noise_p must lie in [0, 1] (got {noise_p})")
 
     budget = int(data.get("budget_ticks", 100))
     if budget < 1:
@@ -199,7 +214,7 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
         bt_spec=data["bt"],
         fluents=fluents,
         observable=observable,
-        noise_p=float(world.get("noise_p", 0.0)),
+        noise_p=noise_p,
         perturbations=perturbations,
         budget_ticks=budget,
         deterministic=bool(data.get("deterministic", True)),

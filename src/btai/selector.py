@@ -22,7 +22,7 @@ from .domain import (
     StateRegistry,
     holds,
 )
-from .inference import Factor, InferenceOutcome, run_active_inference
+from .inference import CompiledModel, InferenceOutcome, run_active_inference
 
 
 @dataclass
@@ -44,22 +44,15 @@ class SelectorVerdict:
     calls: list[InferenceCall] = field(default_factory=list)
 
 
-def _factorize(
-    registry: StateRegistry,
-    actions: Sequence[ActionTemplate],
-    beliefs: Mapping[str, np.ndarray],
-    priors: PriorSet,
-) -> dict[str, Factor]:
-    factors = {}
-    for state in registry:
-        factors[state.id] = Factor(
-            likelihood=registry.likelihood(state.id),
-            transitions={a.name: a.transitions[state.id]
-                         for a in actions if state.id in a.transitions},
-            prior=np.asarray(beliefs[state.id], dtype=float),
-            preferences=priors.assemble(state.id, state.m),
-        )
-    return factors
+def compile_model(registry: StateRegistry,
+                  actions: Sequence[ActionTemplate]) -> CompiledModel:
+    """The planner's model of a domain whose actions were validated against
+    ``registry`` (see :meth:`StateRegistry.validate_action`)."""
+    return CompiledModel(
+        {s.id: registry.likelihood(s.id) for s in registry},
+        {s.id: {a.name: a.transitions[s.id] for a in actions if s.id in a.transitions}
+         for s in registry},
+    )
 
 
 def _viable(action: ActionTemplate, logical: Mapping[str, LogicalState],
@@ -84,11 +77,14 @@ def adaptive_select(
     registry: StateRegistry,
     execute: Optional[Callable[[ActionTemplate], None]] = None,
     idle_name: str = "Idle",
+    model: Optional[CompiledModel] = None,
 ) -> SelectorVerdict:
     """One adaptive-selection round for the currently set preferences.
 
     ``beliefs`` and ``logical`` must already reflect this tick's observations;
-    ``execute`` is invoked with the action to start or continue.
+    ``execute`` is invoked with the action to start or continue.  ``model``
+    is the episode's compiled model; without one, a model is compiled for
+    this call alone.
     """
     verdict = SelectorVerdict(status=TickStatus.RUNNING)
 
@@ -103,15 +99,17 @@ def adaptive_select(
         sid: (o.one_hot if not o.absent else None) for sid, o in observations.items()
     }
     excluded: set[str] = set()
+    if model is None:
+        model = compile_model(registry, actions)
 
     while True:
         candidates = [a.name for a in actions
                       if a.name not in excluded and _viable(a, logical, registry)]
-        factors = _factorize(registry, actions, beliefs, priors)
-        outcome = run_active_inference(factors, candidates, obs_vectors,
-                                       idle_action=idle_name)
+        preferences = priors.assemble_all(registry)
+        outcome = run_active_inference(model, candidates, obs_vectors, beliefs,
+                                       preferences, idle_action=idle_name)
         verdict.calls.append(InferenceCall(
-            preferences={sid: f.preferences for sid, f in factors.items()},
+            preferences=preferences,
             candidates=candidates,
             outcome=outcome,
         ))

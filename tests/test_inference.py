@@ -76,6 +76,24 @@ class TestValidation:
         with pytest.raises(ModelError):
             check_stochastic_matrix([[1.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_categorical_rejects_non_finite(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            check_categorical([bad, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_stochastic_rejects_non_finite(self, bad):
+        with pytest.raises(ModelError, match="column 0"):
+            check_stochastic_matrix([[bad, 0.1], [0.5, 0.9]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_prior_rejected(self, bad):
+        with pytest.raises(ModelError, match="prior"):
+            Factor(likelihood=I2, transitions={}, prior=np.array([bad, 0.5]),
+                   preferences=np.zeros(2))
+        with pytest.raises(ModelError, match="prior"):
+            update_posterior_states([I2], I2, [0.5, bad], [None])
+
 
 class TestUpdatePosteriorStates:
     def test_observed_miss_with_move_dynamics(self):
@@ -219,6 +237,18 @@ class TestRunActiveInference:
                 [out.per_policy_beliefs["g"][p][t]
                  for p in range(len(out.policies))])
             assert avg == pytest.approx(recomputed, abs=1e-9)
+
+    def test_averaged_beliefs_computed_on_first_use(self, monkeypatch):
+        import btai.inference as inference
+        calls = []
+        original = inference.bayesian_model_average
+        monkeypatch.setattr(inference, "bayesian_model_average",
+                            lambda *a: calls.append(1) or original(*a))
+        out = run_active_inference({"g": example1_factor()},
+                                   ["Idle", "moveTo"], {"g": [0.0, 1.0]})
+        assert calls == []
+        assert len(out.averaged_beliefs["g"]) == 2
+        assert len(calls) == 2
 
     def test_outputs_on_simplex(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 import yaml
@@ -139,4 +140,25 @@ class TestValidation:
         data = base_dict()
         data["actions"][1]["transitions"] = {"isAt": [[0.9, 0.8], [0.1, 0.2]]}
         with pytest.raises(ScenarioError, match="postcondition"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_explicit_transition_rejected(self, bad):
+        data = base_dict()
+        data["actions"][1]["transitions"] = {
+            "isReachable": [[bad, 0.7], [0.2, 0.3]]}
+        with pytest.raises(ScenarioError, match="finite"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("index", [5, -1])
+    def test_perturbation_index_out_of_range(self, index):
+        data = base_dict()
+        data["perturbations"] = [{"at_tick": 2, "set": {"isAt": index}}]
+        with pytest.raises(ScenarioError, match="out of range"):
+            scenario_from_dict(data)
+
+    def test_noise_p_out_of_range(self):
+        data = base_dict()
+        data["world"]["noise_p"] = 2.0
+        with pytest.raises(ScenarioError, match="noise_p"):
             scenario_from_dict(data)
