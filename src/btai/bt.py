@@ -151,12 +151,11 @@ class Prior(BTNode):
 
     kind = "prior"
 
-    def __init__(self, targets: Sequence[tuple[str, int]], params: dict | None = None):
+    def __init__(self, targets: Sequence[tuple[str, int]]):
         if not targets:
             raise TreeError("prior node needs at least one target")
         super().__init__()
         self.targets = tuple(targets)
-        self.params = dict(params or {})
         self.label = ",".join(f"{sid}={idx}" for sid, idx in self.targets)
 
     def tick(self, ctx) -> TickStatus:
@@ -235,8 +234,7 @@ def _build_node(spec, registry, actions_by_name, path) -> BTNode:
                 raise TreeError(f"{path}/prior[{i}]: unknown state {sid!r}")
             registry.validate_predicate(Predicate(sid, idx))
             targets.append((sid, idx))
-        params = body.get("params") if isinstance(body, dict) else None
-        return Prior(targets, params)
+        return Prior(targets)
     raise TreeError(f"{path}: unknown node kind {kind!r}")
 
 

@@ -81,6 +81,9 @@ def main(argv=None) -> int:
             if args.budget is not None and args.budget < 1:
                 print("error: --budget must be >= 1", file=sys.stderr)
                 return EXIT_USAGE
+            if args.seed is not None and args.seed < 0:
+                print("error: --seed must be >= 0", file=sys.stderr)
+                return EXIT_USAGE
             result = run_episode(scenario, seed=args.seed,
                                  deterministic=args.deterministic,
                                  budget=args.budget,
@@ -116,7 +119,8 @@ def main(argv=None) -> int:
             print(f"ratio: {na / nb:.4f}")
             print(f"compression: {1.0 - na / nb:.4f}")
             return 0
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
+        # OSError: an output file (--out, --trace-out) cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

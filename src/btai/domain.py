@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .inference import ModelError, check_stochastic_matrix, safe_log, softmax
+from .inference import CompiledModel, ModelError, check_stochastic_matrix, softmax
 
 NOMINAL_PREFERENCE = 1.0
 PUSHED_PREFERENCE = 2.0
@@ -76,23 +76,22 @@ class LogicalState:
         return int(np.argmax(self.one_hot))
 
 
-def achieve_matrix(m: int, target: int, act_prob: float = ACT_PROB,
-                   stay_prob: float = STAY_PROB) -> np.ndarray:
+def achieve_matrix(m: int, target: int) -> np.ndarray:
     """Transition matrix of an action that drives a state to ``target``.
 
-    From any other value the target is reached with ``act_prob``; once there
-    the state is kept with ``stay_prob`` (mass leaks uniformly elsewhere).
+    From any other value the target is reached with ``ACT_PROB``; once there
+    the state is kept with ``STAY_PROB`` (mass leaks uniformly elsewhere).
     For m=2 this reproduces the canonical moveTo matrix [[.95,.9],[.05,.1]].
     """
     b = np.zeros((m, m))
     for j in range(m):
         if j == target:
-            b[:, j] = (1.0 - stay_prob) / (m - 1)
-            b[target, j] = stay_prob
+            b[:, j] = (1.0 - STAY_PROB) / (m - 1)
+            b[target, j] = STAY_PROB
         else:
             b[:, j] = 0.0
-            b[target, j] = act_prob
-            b[j, j] = 1.0 - act_prob
+            b[target, j] = ACT_PROB
+            b[j, j] = 1.0 - ACT_PROB
     return b
 
 
@@ -212,31 +211,31 @@ def update_beliefs(
     beliefs: Mapping[str, np.ndarray],
     observations: Mapping[str, Observation],
     last_action: Optional[ActionTemplate],
-    registry: StateRegistry,
+    model: CompiledModel,
 ) -> dict[str, np.ndarray]:
-    """One perception step: propagate each belief through the last action's
-    transition (identity where the action did not act) and fold in the
-    observation evidence where present."""
+    """One perception step on the episode's compiled ``model``: propagate each
+    belief through the last action's transition (identity where the action
+    did not act) and fold in the observation evidence where present."""
     for sid in observations:
-        if sid not in registry:
+        if sid not in model.states:
             raise UnknownStateError(sid)
     updated: dict[str, np.ndarray] = {}
-    for state in registry:
-        b = np.asarray(beliefs[state.id], dtype=float)
-        trans = None
-        if last_action is not None:
-            trans = last_action.transitions.get(state.id)
-        obs = observations.get(state.id)
+    for sid, state in model.states.items():
+        b = np.asarray(beliefs[sid], dtype=float)
+        # declared, not compared with I: an explicit identity B still acts
+        acted = last_action is not None and sid in last_action.transitions
+        obs = observations.get(sid)
         absent = obs is None or obs.absent
-        if trans is None and absent:
+        if not acted and absent:
             # no evidence and identity dynamics: the softmax of the clamped
             # log-identity would sharpen the belief, so leave it alone
-            updated[state.id] = b.copy()
+            updated[sid] = b.copy()
             continue
-        v = safe_log(trans if trans is not None else np.eye(state.m)) @ b
+        _, _, log_b = state.transitions[last_action.name] if acted else state.identity
+        v = log_b @ b
         if not absent:
-            v = v + safe_log(registry.likelihood(state.id)).T @ obs.one_hot
-        updated[state.id] = softmax(v)
+            v = v + state.evidence(obs.one_hot)
+        updated[sid] = softmax(v)
     return updated
 
 

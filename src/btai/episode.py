@@ -48,16 +48,13 @@ class EpisodeContext:
 
     def __init__(self, world: World, registry: StateRegistry,
                  actions: list[ActionTemplate], priors: PriorSet,
-                 idle_name: str = "Idle"):
+                 model: CompiledModel):
         self.world = world
         self.registry = registry
         self.actions = actions
         self.actions_by_name = {a.name: a for a in actions}
         self.priors = priors
-        self.idle_name = idle_name
-        # compiled on the first prior tick, so trees without prior leaves
-        # never pay for it; one per episode scopes its memo to the episode
-        self.model: Optional[CompiledModel] = None
+        self.model = model
         self.beliefs: dict[str, np.ndarray] = {}
         self.observations = {}
         self.logical = {}
@@ -95,12 +92,9 @@ class EpisodeContext:
 
     def prior_tick(self, node: Prior) -> TickStatus:
         self.priors.set_nominal(node, node.targets)
-        if self.model is None:
-            self.model = compile_model(self.registry, self.actions)
         verdict = adaptive_select(
             self.priors, self.beliefs, self.observations, self.actions,
-            self.logical, self.registry, execute=self._drive,
-            idle_name=self.idle_name, model=self.model,
+            self.logical, self.registry, self.model, execute=self._drive,
         )
         self.verdicts.append((node.node_id, verdict))
         return verdict.status
@@ -197,7 +191,10 @@ def run_episode(
     budget = scenario.budget_ticks if budget is None else budget
 
     priors = PriorSet()
-    ctx = EpisodeContext(world, registry, actions, priors)
+    # one model per episode: perception and planning read it, and its memo
+    # lives exactly as long as the episode
+    model = compile_model(registry, actions)
+    ctx = EpisodeContext(world, registry, actions, priors, model)
     beliefs = registry.uniform_beliefs()
 
     records: list[dict] = []
@@ -208,7 +205,7 @@ def run_episode(
 
     for tick in range(budget):
         observations = world.observe()
-        beliefs = update_beliefs(beliefs, observations, world.last_completed, registry)
+        beliefs = update_beliefs(beliefs, observations, world.last_completed, model)
         logical = logical_state(beliefs)
         if (world.last_result is not None
                 and world.last_result.status == "succeeded"):

@@ -21,6 +21,8 @@ EPS = 1e-16
 SWEEP_TOL = 1e-6
 MAX_SWEEPS = 10
 DEFAULT_HORIZON = 2
+#: how far a probability may stray from [0, 1], or a distribution's sum from 1
+PROB_TOL = 1e-9
 IDLE = "Idle"
 
 
@@ -44,15 +46,15 @@ def softmax(v) -> np.ndarray:
     return z / z.sum()
 
 
-def check_categorical(p, name: str = "distribution", tol: float = 1e-9) -> np.ndarray:
+def check_categorical(p, name: str = "distribution") -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ModelError(f"{name} must be a non-empty vector")
     if not np.all(np.isfinite(p)):
         raise ModelError(f"{name} entries must be finite")
-    if np.any(p < -tol) or np.any(p > 1 + tol):
+    if np.any(p < -PROB_TOL) or np.any(p > 1 + PROB_TOL):
         raise ModelError(f"{name} entries must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > PROB_TOL:
         raise ModelError(f"{name} must sum to 1 (got {p.sum():.12f})")
     return p
 
@@ -62,8 +64,9 @@ def check_stochastic_matrix(mat, name: str = "matrix") -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ModelError(f"{name} must be square")
     # all columns at once; check_categorical names the first bad one
-    bad = (~np.isfinite(mat).all(axis=0) | (mat < -1e-9).any(axis=0)
-           | (mat > 1 + 1e-9).any(axis=0) | (np.abs(mat.sum(axis=0) - 1.0) > 1e-9))
+    bad = (~np.isfinite(mat).all(axis=0) | (mat < -PROB_TOL).any(axis=0)
+           | (mat > 1 + PROB_TOL).any(axis=0)
+           | (np.abs(mat.sum(axis=0) - 1.0) > PROB_TOL))
     for j in np.flatnonzero(bad):
         check_categorical(mat[:, j], f"{name} column {j}")
     return mat
@@ -116,9 +119,9 @@ def update_posterior_states(
     likelihood: np.ndarray,
     prior: np.ndarray,
     observations: Sequence[Optional[np.ndarray]],
-    horizon: int = DEFAULT_HORIZON,
 ) -> list[np.ndarray]:
-    """Policy-conditioned posterior beliefs s_tau for tau = 1..horizon.
+    """Policy-conditioned posterior beliefs s_tau for tau = 1..horizon, where
+    the horizon is :data:`DEFAULT_HORIZON`.
 
     ``transitions`` holds the policy's per-step transition matrices (length
     horizon - 1) and ``observations`` the available one-hot outcomes (None
@@ -128,8 +131,7 @@ def update_posterior_states(
     belief) and the observation evidence, swept until the maximum absolute
     change drops below 1e-6 or 10 iterations elapse.
     """
-    if horizon < 1:
-        raise ModelError("horizon must be >= 1")
+    horizon = DEFAULT_HORIZON
     if len(transitions) != horizon - 1:
         raise ModelError("need one transition matrix per policy step")
     if len(observations) > horizon:
@@ -200,7 +202,6 @@ def expected_free_energy(
     beliefs: Sequence[np.ndarray],
     likelihood: np.ndarray,
     preferences: np.ndarray,
-    current_step: int = 1,
 ) -> float:
     """Expected free energy over future steps: expected cost plus ambiguity.
 
@@ -215,7 +216,7 @@ def expected_free_energy(
     # ambiguity weights: column sums of A * ln A (zero entries contribute 0)
     ambiguity = np.einsum("ij,ij->j", a, safe_log(a))
     total = 0.0
-    for t in range(current_step, len(beliefs)):
+    for t in range(1, len(beliefs)):
         s = np.asarray(beliefs[t], dtype=float)
         o = a @ s
         total += float(o @ (safe_log(o) - c)) + float(s @ ambiguity)
@@ -298,20 +299,22 @@ def preferences_satisfied(current: Mapping[str, int],
 
 class _StateModel:
     """Compiled static part of one state factor: the likelihood entry (key,
-    A, log-A) and one transition entry (key, B) per acting action.  Every
-    action without an entry shares the identity entry."""
+    A, log-A) and one transition entry (key, B, log-B) per acting action.
+    Every action without an entry shares the identity entry (key, I, log-I)."""
 
     __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions")
 
-    def __init__(self, likelihood: tuple[int, np.ndarray], identity: tuple[int, np.ndarray],
-                 transitions: dict[str, tuple[int, np.ndarray]]):
-        self.key, self.likelihood = likelihood
-        self.log_likelihood = safe_log(self.likelihood)
+    def __init__(self, likelihood: tuple, identity: tuple,
+                 transitions: dict[str, tuple]):
+        self.key, self.likelihood, self.log_likelihood = likelihood
         self.identity = identity
         self.transitions = transitions
 
-    def transition(self, action: str) -> tuple[int, np.ndarray]:
+    def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
+
+    def evidence(self, observation: np.ndarray) -> np.ndarray:
+        return self.log_likelihood.T @ observation
 
 
 class _Evidence:
@@ -328,12 +331,12 @@ class _Evidence:
         # most likely value once this tick's observation is folded in
         belief = prior
         if observation is not None:
-            belief = softmax(safe_log(prior) + state.log_likelihood.T @ observation)
+            belief = softmax(safe_log(prior) + state.evidence(observation))
         self.current = int(np.argmax(belief))
         self.terms: dict[int, _Term] = {}
 
     def term(self, state: _StateModel, action: str) -> "_Term":
-        key, b = state.transition(action)
+        key, b, _ = state.transition(action)
         term = self.terms.get(key)
         if term is None:
             a = state.likelihood
@@ -371,10 +374,11 @@ class CompiledModel:
     """Static part of a factorized generative model, prepared once, plus the
     memo of every term evaluated with it.
 
-    Per state it holds the likelihood A and log-A, and per acting action the
-    transition B (see :class:`_StateModel`).  The inputs are trusted: they
-    were validated where they were parsed (scenario files) or constructed
-    (:class:`Factor`).
+    Per state it holds the likelihood A, the identity I and, per acting
+    action, the transition B, each with its log (see :class:`_StateModel`);
+    perception (:func:`btai.domain.update_beliefs`) reads the same entries.
+    The inputs are trusted: they were validated where they were parsed
+    (scenario files) or constructed (:class:`Factor`).
 
     A state enters its terms only through A: posterior beliefs and F depend
     on (A, B, prior belief, observation), and G on those plus the
@@ -388,11 +392,14 @@ class CompiledModel:
     def __init__(self, likelihoods: Mapping[str, np.ndarray],
                  transitions: Mapping[str, Mapping[str, np.ndarray]]):
         # equal matrices share one key, also across states
-        matrices: dict[bytes, tuple[int, np.ndarray]] = {}
+        matrices: dict[bytes, tuple] = {}
 
-        def entry(mat) -> tuple[int, np.ndarray]:
+        def entry(mat) -> tuple:
             mat = np.asarray(mat, dtype=float)
-            return matrices.setdefault(mat.tobytes(), (len(matrices), mat))
+            raw = mat.tobytes()
+            if raw not in matrices:
+                matrices[raw] = (len(matrices), mat, safe_log(mat))
+            return matrices[raw]
 
         self.states: dict[str, _StateModel] = {}
         for sid, a in likelihoods.items():
@@ -428,7 +435,6 @@ def run_active_inference(
     observations: Mapping[str, Optional[np.ndarray]],
     beliefs: Optional[Mapping[str, np.ndarray]] = None,
     preferences: Optional[Mapping[str, np.ndarray]] = None,
-    idle_action: str = IDLE,
 ) -> InferenceOutcome:
     """One full action-selection round over all state factors.
 
@@ -439,7 +445,7 @@ def run_active_inference(
     Builds one one-step policy per candidate action, takes per-policy
     beliefs, F and G per factor from the model's memo (summing F and G
     across factors), forms the policy posterior and picks the action.  When
-    every preference is already satisfied the idle action is returned
+    every preference is already satisfied :data:`IDLE` is returned
     outright: the exact expected-free-energy score would otherwise favour
     stochastic self-transitions over doing nothing.
     """
@@ -468,7 +474,7 @@ def run_active_inference(
 
     pi = policy_posterior(f_total, g_total)
     if preferences_satisfied(current, c_by_state):
-        chosen = idle_action
+        chosen = IDLE
     else:
         chosen = select_action(pi, policies)
     return InferenceOutcome(

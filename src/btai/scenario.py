@@ -24,6 +24,7 @@ from .domain import (
     StateVar,
     achieve_matrix,
 )
+from .inference import IDLE
 from .world import PerturbationEvent, World
 
 FORMAT_VERSION = "btai-scenario/1"
@@ -123,6 +124,19 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
 
 
 def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
+    """Parse and validate a scenario document; any malformed document raises
+    :class:`ScenarioError`."""
+    try:
+        return _scenario_from_dict(data, source)
+    except ScenarioError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        # a value of the wrong type or shape, or a reference the domain or
+        # the tree rejects, deeper than the checks below name
+        raise ScenarioError(source, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _scenario_from_dict(data: dict, source: str) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(source, "document must be a mapping")
     if data.get("format") != FORMAT_VERSION:
@@ -139,10 +153,7 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
             states.append(StateVar(str(raw["id"]), len(labels), labels))
         except (KeyError, TypeError, DomainError) as exc:
             raise ScenarioError(source, f"bad state entry {raw!r}: {exc}") from exc
-    try:
-        registry = StateRegistry(states)
-    except DomainError as exc:
-        raise ScenarioError(source, str(exc)) from exc
+    registry = StateRegistry(states)
 
     actions = [_parse_action(raw, registry, source) for raw in data["actions"]]
     names = [a.name for a in actions]
@@ -206,6 +217,9 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
     budget = int(data.get("budget_ticks", 100))
     if budget < 1:
         raise ScenarioError(source, "budget_ticks must be >= 1")
+    seed = int(data.get("seed", 0))
+    if seed < 0:
+        raise ScenarioError(source, "seed must be >= 0")
 
     scenario = Scenario(
         name=str(data["name"]),
@@ -218,13 +232,16 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
         perturbations=perturbations,
         budget_ticks=budget,
         deterministic=bool(data.get("deterministic", True)),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         source=source,
     )
-    try:
-        scenario.build_tree()
-    except bt.TreeError as exc:
-        raise ScenarioError(source, str(exc)) from exc
+    idle = scenario.actions_by_name().get(IDLE)
+    if (any(node.kind == "prior" for node in bt.assign_ids(scenario.build_tree()))
+            and (idle is None or idle.postconditions)):
+        # the selector answers "no action needed" with Idle, which must
+        # stay a candidate, so it may not declare postconditions
+        raise ScenarioError(source, f"a tree with prior leaves needs an {IDLE!r} "
+                                    "action without postconditions")
     return scenario
 
 
@@ -234,6 +251,8 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(str(path), "file does not exist")
     try:
         data = yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(str(path), f"cannot read: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(str(path), f"YAML parse error: {exc}") from exc
     return scenario_from_dict(data, source=str(path))

@@ -22,7 +22,7 @@ from .domain import (
     StateRegistry,
     holds,
 )
-from .inference import CompiledModel, InferenceOutcome, run_active_inference
+from .inference import IDLE, CompiledModel, InferenceOutcome, run_active_inference
 
 
 @dataclass
@@ -75,16 +75,15 @@ def adaptive_select(
     actions: Sequence[ActionTemplate],
     logical: Mapping[str, LogicalState],
     registry: StateRegistry,
+    model: CompiledModel,
     execute: Optional[Callable[[ActionTemplate], None]] = None,
-    idle_name: str = "Idle",
-    model: Optional[CompiledModel] = None,
 ) -> SelectorVerdict:
     """One adaptive-selection round for the currently set preferences.
 
     ``beliefs`` and ``logical`` must already reflect this tick's observations;
-    ``execute`` is invoked with the action to start or continue.  ``model``
-    is the episode's compiled model; without one, a model is compiled for
-    this call alone.
+    ``model`` is the episode's compiled model of ``registry`` and
+    ``actions`` (see :func:`compile_model`); ``execute`` is invoked with the
+    action to start or continue.
     """
     verdict = SelectorVerdict(status=TickStatus.RUNNING)
 
@@ -99,15 +98,13 @@ def adaptive_select(
         sid: (o.one_hot if not o.absent else None) for sid, o in observations.items()
     }
     excluded: set[str] = set()
-    if model is None:
-        model = compile_model(registry, actions)
 
     while True:
         candidates = [a.name for a in actions
                       if a.name not in excluded and _viable(a, logical, registry)]
         preferences = priors.assemble_all(registry)
         outcome = run_active_inference(model, candidates, obs_vectors, beliefs,
-                                       preferences, idle_action=idle_name)
+                                       preferences)
         verdict.calls.append(InferenceCall(
             preferences=preferences,
             candidates=candidates,
@@ -115,7 +112,7 @@ def adaptive_select(
         ))
         chosen = by_name[outcome.chosen_action]
 
-        if chosen.name == idle_name:
+        if chosen.name == IDLE:
             if verdict.chain:
                 verdict.status = TickStatus.FAILURE  # no executable chain
             else:

@@ -37,6 +37,14 @@ class TestRun:
     def test_bad_budget(self, capsys):
         assert main(["run", S1, "--budget", "0"]) == 3
 
+    def test_negative_seed(self, capsys):
+        assert main(["run", S1, "--seed", "-1"]) == 3
+
+    def test_unwritable_trace_path(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "trace.jsonl"
+        assert main(["run", S1, "--quiet", "--trace-out", str(trace)]) == 3
+        assert "error" in capsys.readouterr().err
+
 
 class TestGraph:
     def test_stdout(self, capsys):

@@ -1,5 +1,6 @@
 """The compiled model's memo must be invisible: memoized rounds equal a
-fresh evaluation bit for bit, and no memo state outlives an episode."""
+fresh evaluation bit for bit, and no memo state outlives an episode.
+Perception reads the same model and must equal its formula bit for bit."""
 
 import os
 import subprocess
@@ -7,11 +8,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 import btai
-from modelgen import random_model
+from modelgen import random_model, random_stochastic
+from btai.domain import (
+    ActionTemplate,
+    Observation,
+    StateRegistry,
+    StateVar,
+    update_beliefs,
+)
 from btai.episode import run_episode, write_trace
 from btai.inference import (
     CompiledModel,
@@ -24,7 +33,8 @@ from btai.inference import (
     update_posterior_states,
     variational_free_energy,
 )
-from btai.scenario import scenario_from_dict, shipped_scenario_path
+from btai.scenario import parse_scenario, scenario_from_dict, shipped_scenario_path
+from btai.selector import compile_model
 
 
 def uncached_round(likelihoods, transitions, beliefs, preferences, actions,
@@ -121,3 +131,67 @@ def test_back_to_back_episodes_do_not_share_memo(tmp_path):
             sc = scenario_from_dict(docs[name], source=name)
             write_trace(run_episode(sc), trace)
             assert trace.read_bytes() == alone[name], name
+
+
+def term_by_term_belief(b, observation, transition):
+    """One perception step straight from its formula; ``transition`` is None
+    when the last action declared none for the state."""
+    if transition is None and observation is None:
+        return b  # identity dynamics and no evidence: the belief is kept
+    m = len(b)
+    v = safe_log(np.eye(m) if transition is None else transition) @ b
+    if observation is not None:
+        v = v + safe_log(np.eye(m)).T @ observation
+    return softmax(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_update_beliefs_equals_term_by_term_formula(seed):
+    rng = np.random.default_rng(seed)
+    states = [StateVar(f"s{i}", m, tuple(f"v{j}" for j in range(m)))
+              for i, m in enumerate(rng.integers(2, 5, size=rng.integers(1, 5)))]
+    registry = StateRegistry(states)
+    actions = [ActionTemplate("Idle")]
+    for k in range(3):
+        # random dynamics on some states; an explicit identity on others,
+        # which shares the model's identity entry yet still acts
+        transitions = {s.id: (np.eye(s.m) if rng.random() < 0.3
+                              else random_stochastic(rng, s.m))
+                       for s in states if rng.random() < 0.6}
+        actions.append(ActionTemplate(f"act{k}", transitions=transitions))
+    model = compile_model(registry, actions)
+    for _ in range(4):
+        beliefs, observations, expected = {}, {}, {}
+        last = actions[int(rng.integers(len(actions)))] if rng.random() < 0.8 else None
+        for s in states:
+            b = rng.dirichlet(np.ones(s.m))
+            if rng.random() < 0.3:
+                b = np.eye(s.m)[rng.integers(s.m)]
+            kind = rng.integers(3)  # one-hot, absent, or not reported at all
+            o = np.eye(s.m)[rng.integers(s.m)] if kind == 0 else None
+            if kind < 2:
+                observations[s.id] = Observation(s.id, o)
+            beliefs[s.id] = b
+            transition = None if last is None else last.transitions.get(s.id)
+            expected[s.id] = term_by_term_belief(b, o, transition)
+        out = update_beliefs(beliefs, observations, last, model)
+        assert list(out) == [s.id for s in states]
+        for sid, want in expected.items():
+            assert np.array_equal(out[sid], want), sid
+            assert out[sid] is not beliefs[sid]
+
+
+@pytest.mark.parametrize("name", ["scenario_1.yaml", "bt_classic_27.yaml"])
+def test_run_episode_compiles_one_model(monkeypatch, name):
+    built = []
+    init = CompiledModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledModel, "__init__", counting_init)
+    result = run_episode(parse_scenario(shipped_scenario_path(name)))
+    assert result.outcome == "Goal" and result.ticks > 1
+    assert len(built) == 1

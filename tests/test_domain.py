@@ -15,6 +15,7 @@ from btai.domain import (
     logical_state,
     update_beliefs,
 )
+from btai.selector import compile_model
 
 
 def make_registry():
@@ -111,7 +112,7 @@ class TestUpdateBeliefs:
         beliefs = reg.uniform_beliefs()
         obs = {"isAt": Observation("isAt", np.array([0.0, 1.0])),
                "isHolding": Observation("isHolding", None)}
-        out = update_beliefs(beliefs, obs, None, reg)
+        out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         assert out["isAt"][1] == pytest.approx(1.0, abs=1e-9)
         assert out["isAt"][0] == pytest.approx(1e-16, rel=0.5)
 
@@ -120,22 +121,22 @@ class TestUpdateBeliefs:
         beliefs = {"isAt": np.array([0.7, 0.3]), "isHolding": np.array([0.5, 0.5])}
         obs = {"isAt": Observation("isAt", None),
                "isHolding": Observation("isHolding", None)}
-        out = update_beliefs(beliefs, obs, None, reg)
+        out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         assert out["isAt"] == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_unknown_state_in_observation(self):
         reg = make_registry()
         obs = {"ghost": Observation("ghost", np.array([1.0, 0.0]))}
         with pytest.raises(UnknownStateError):
-            update_beliefs(reg.uniform_beliefs(), obs, None, reg)
+            update_beliefs(reg.uniform_beliefs(), obs, None, compile_model(reg, []))
 
     def test_contradiction_flips_within_two_updates(self):
         reg = make_registry()
         beliefs = {"isAt": np.array([1.0, 0.0]), "isHolding": np.array([0.5, 0.5])}
         obs = {"isAt": Observation("isAt", np.array([0.0, 1.0])),
                "isHolding": Observation("isHolding", None)}
-        beliefs = update_beliefs(beliefs, obs, None, reg)
-        beliefs = update_beliefs(beliefs, obs, None, reg)
+        beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
+        beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         assert logical_state(beliefs)["isAt"].index == 1
 
     def test_noiseless_observation_sets_logical_state(self):
@@ -143,7 +144,7 @@ class TestUpdateBeliefs:
         beliefs = reg.uniform_beliefs()
         obs = {"isAt": Observation("isAt", np.array([1.0, 0.0])),
                "isHolding": Observation("isHolding", np.array([0.0, 1.0]))}
-        out = update_beliefs(beliefs, obs, None, reg)
+        out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         logical = logical_state(out)
         assert logical["isAt"].index == 0
         assert logical["isHolding"].index == 1
@@ -155,7 +156,7 @@ class TestUpdateBeliefs:
         for _ in range(20):
             obs = {s.id: Observation(s.id, np.eye(2)[rng.integers(2)])
                    for s in reg}
-            beliefs = update_beliefs(beliefs, obs, None, reg)
+            beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
             for b in beliefs.values():
                 assert b.sum() == pytest.approx(1.0, abs=1e-9)
 

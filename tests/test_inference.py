@@ -117,7 +117,7 @@ class TestUpdatePosteriorStates:
 
     def test_wrong_transition_count(self):
         with pytest.raises(ModelError):
-            update_posterior_states([], I2, [0.5, 0.5], [[1.0, 0.0]], horizon=2)
+            update_posterior_states([], I2, [0.5, 0.5], [[1.0, 0.0]])
 
 
 class TestFreeEnergy:

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from btai.bt import node_count
+from btai.cli import main
 from btai.scenario import (
     ScenarioError,
     parse_scenario,
@@ -64,6 +65,13 @@ class TestValidation:
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="does not exist"):
             parse_scenario("/nonexistent/path.yaml")
+
+    def test_unreadable_file(self, tmp_path):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(b"name: caf\xe9\n")
+        for path in (bad, tmp_path):
+            with pytest.raises(ScenarioError, match="cannot read"):
+                parse_scenario(path)
 
     def test_missing_format_header(self):
         data = base_dict()
@@ -162,3 +170,85 @@ class TestValidation:
         data["world"]["noise_p"] = 2.0
         with pytest.raises(ScenarioError, match="noise_p"):
             scenario_from_dict(data)
+
+
+def _condition(data):
+    return data["bt"]["reactive_sequence"][1]["fallback"][0]["condition"]
+
+
+def _set(path, value):
+    def edit(data):
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+# each edit of scenario_1 escaped as a raw exception before it was caught
+# at the scenario_from_dict boundary
+MALFORMED = {
+    "condition-without-state": lambda d: _condition(d).pop("state"),
+    "action-node-without-name": _set(
+        ("bt", "reactive_sequence", 1, "fallback", 1), {"action": {}}),
+    "states-not-a-list": _set(("states",), 3),
+    "world-not-a-mapping": _set(("world",), []),
+    "pre-not-a-list": _set(("actions", 3, "pre"), 3),
+    "duration-not-a-number": _set(("actions", 1, "duration"), "x"),
+    "duration-zero": _set(("actions", 1, "duration"), 0),
+    "budget-not-a-number": _set(("budget_ticks",), "many"),
+    "success-prob-nan": _set(("actions", 1, "success_prob"), math.nan),
+    "ragged-transition": _set(("actions", 1, "transitions"),
+                              {"isReachable": [[0.8], [0.2, 0.3]]}),
+    "prior-index-not-a-number": _set(
+        ("bt", "reactive_sequence", 0, "prior", "targets", 0, "index"), "a"),
+    "prior-targets-a-string": _set(
+        ("bt", "reactive_sequence", 0, "prior", "targets"), "abc"),
+    "fluent-not-a-number": _set(("world", "fluents", "isAt"), "x"),
+    "actions-null": _set(("actions",), None),
+    "perturbation-set-a-list": _set(("perturbations",),
+                                    [{"at_tick": 2, "set": [1]}]),
+    "perturbation-observable-a-list": _set(("perturbations",),
+                                           [{"at_tick": 2, "observable": [1]}]),
+    "observable-a-list": _set(("world", "observable"), [1]),
+    "seed-not-a-number": _set(("seed",), "s"),
+    "seed-negative": _set(("seed",), -1),
+    "condition-index-negative": lambda d: _condition(d).update(index=-1),
+    "post-index-not-a-number": _set(("actions", 1, "post", 0, "index"), "a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_3(case, tmp_path, capsys):
+    data = base_dict()
+    MALFORMED[case](data)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(data)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+class TestIdleAction:
+    @staticmethod
+    def without_idle(name):
+        data = yaml.safe_load(shipped_scenario_path(name).read_text())
+        data["actions"] = [a for a in data["actions"] if a["name"] != "Idle"]
+        return data
+
+    def test_prior_leaves_need_idle(self):
+        with pytest.raises(ScenarioError, match="Idle"):
+            scenario_from_dict(self.without_idle("scenario_1.yaml"))
+
+    def test_idle_must_not_declare_postconditions(self):
+        # Idle would drop out of the candidates once its postcondition held
+        data = yaml.safe_load(shipped_scenario_path("scenario_failure.yaml").read_text())
+        data["actions"][0]["post"] = [{"state": "isAt", "index": 0}]
+        with pytest.raises(ScenarioError, match="Idle"):
+            scenario_from_dict(data)
+
+    def test_tree_without_prior_leaves_needs_no_idle(self):
+        sc = scenario_from_dict(self.without_idle("bt_classic_27.yaml"))
+        assert "Idle" not in sc.actions_by_name()

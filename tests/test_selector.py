@@ -16,6 +16,7 @@ from btai.selector import (
     adaptive_select,
     chain_trace,
     chain_links_ok,
+    compile_model,
     prepares,
 )
 
@@ -66,7 +67,8 @@ class TestAdaptiveSelect:
         priors.set_nominal("n", [("isHolding", 0)])
         executed = []
         verdict = adaptive_select(priors, beliefs, obs, actions, logical,
-                                  registry, execute=executed.append)
+                                  registry, compile_model(registry, actions),
+                                  execute=executed.append)
         assert verdict.status == TickStatus.RUNNING
         assert verdict.action.name == "moveTo(shelf)"
         assert executed[0].name == "moveTo(shelf)"
@@ -80,7 +82,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 0, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry)
+        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
+                                  compile_model(registry, actions))
         assert verdict.status == TickStatus.SUCCESS
         assert verdict.action is None
         assert verdict.chain == []
@@ -93,7 +96,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry)
+        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
+                                  compile_model(registry, actions))
         assert verdict.status == TickStatus.FAILURE
         assert verdict.chain  # something was tried before giving up
 
@@ -104,7 +108,8 @@ class TestAdaptiveSelect:
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
         priors.push(Predicate("isReachable", 0))
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry)
+        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
+                                  compile_model(registry, actions))
         assert Predicate("isReachable", 0) in verdict.removed_pushed
         assert not priors.has_pushed("isReachable")
         # with the precondition met, Pick itself is selected
@@ -116,7 +121,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 0})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry)
+        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
+                                  compile_model(registry, actions))
         assert verdict.status == TickStatus.RUNNING
         assert verdict.chain == ["Pick"]
         assert verdict.pushed == []
@@ -127,7 +133,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry)
+        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
+                                  compile_model(registry, actions))
         assert len(verdict.calls) == 2  # Pick blocked, then moveTo(shelf)
         assert "Pick" in verdict.calls[0].candidates
         assert "Pick" not in verdict.calls[1].candidates

@@ -153,14 +153,16 @@ class TestNoiseTracking:
         dynamics, the logical state matches the true fluent on at least 95%
         of 1000 idle ticks."""
         from btai.domain import logical_state, update_beliefs
+        from btai.selector import compile_model
 
         reg = StateRegistry([StateVar("flag", 2, ("on", "off"))])
+        model = compile_model(reg, [])
         w = World(reg, {"flag": 0}, {"flag": True}, seed=0, noise_p=0.2)
         beliefs = reg.uniform_beliefs()
         hits = 0
         ticks = 1000
         for _ in range(ticks):
-            beliefs = update_beliefs(beliefs, w.observe(), None, reg)
+            beliefs = update_beliefs(beliefs, w.observe(), None, model)
             if logical_state(beliefs)["flag"].index == w.fluents["flag"]:
                 hits += 1
             w.step()
