@@ -136,11 +136,10 @@ def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
         out = call.outcome
         calls.append({
             "candidates": list(call.candidates),
-            "preferences": {sid: [float(x) for x in c]
-                            for sid, c in call.preferences.items()},
-            "F": [float(x) for x in out.free_energy],
-            "G": [float(x) for x in out.expected_free_energy],
-            "policy_probs": [float(x) for x in out.policy_probs],
+            "preferences": {sid: c.tolist() for sid, c in call.preferences.items()},
+            "F": out.free_energy.tolist(),
+            "G": out.expected_free_energy.tolist(),
+            "policy_probs": out.policy_probs.tolist(),
             "chosen": out.chosen_action,
         })
     return {
@@ -165,10 +164,10 @@ def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus,
     return {
         "tick": tick,
         "observations": observations,
-        "beliefs": {s.id: [float(x) for x in ctx.beliefs[s.id]] for s in registry},
+        "beliefs": {s.id: ctx.beliefs[s.id].tolist() for s in registry},
         "logical": {s.id: ctx.logical[s.id].index for s in registry},
-        "preferences": {s.id: [float(x) for x in ctx.priors.assemble(s.id, s.m)]
-                        for s in registry},
+        "preferences": {sid: c.tolist()
+                        for sid, c in ctx.priors.assemble_all(registry).items()},
         "selector": [_serialize_verdict(nid, v) for nid, v in ctx.verdicts],
         "started": list(ctx.started),
         "running": ctx.world.running.template.name if ctx.world.running else None,
@@ -191,8 +190,8 @@ def run_episode(
     budget = scenario.budget_ticks if budget is None else budget
 
     priors = PriorSet()
-    # one model per episode: perception and planning read it, and its memo
-    # lives exactly as long as the episode
+    # one model per episode: perception and planning read it; the terms it
+    # evaluates go to the process-wide table in btai.inference
     model = compile_model(registry, actions)
     ctx = EpisodeContext(world, registry, actions, priors, model)
     beliefs = registry.uniform_beliefs()
@@ -245,8 +244,13 @@ def run_episode(
     return result
 
 
+# one encoder for every record: json.dumps with options builds a new
+# encoder on each call
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def write_trace(result: EpisodeResult, path):
-    lines = [json.dumps(r, separators=(",", ":")) for r in result.records]
+    lines = [_encode_record(r) for r in result.records]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,6 +11,7 @@ policy posterior.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -24,6 +25,10 @@ DEFAULT_HORIZON = 2
 #: how far a probability may stray from [0, 1], or a distribution's sum from 1
 PROB_TOL = 1e-9
 IDLE = "Idle"
+#: most entries each process-wide table holds: interned matrices, and the
+#: evidence entries, terms and G values of the term table together.  A full
+#: table is emptied before its next insert.
+TABLE_CAP = 4096
 
 
 class ModelError(ValueError):
@@ -272,7 +277,7 @@ class InferenceOutcome:
     free_energy: np.ndarray
     expected_free_energy: np.ndarray
     # state id -> [policy][tau] belief vectors (read-only, shared with the
-    # model's memo)
+    # process-wide term table)
     per_policy_beliefs: dict[str, list[list[np.ndarray]]]
     chosen_action: str = IDLE
 
@@ -297,10 +302,35 @@ def preferences_satisfied(current: Mapping[str, int],
     return True
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+# matrix content -> (id, matrix, log-matrix), read-only private copies.  Ids
+# come from a counter and are never reused, so an id names one content for
+# the life of the process, also after the table was emptied.
+_MATRICES: dict[tuple, tuple] = {}
+_MATRIX_IDS = itertools.count()
+
+
+def _intern(mat) -> tuple:
+    """The process-wide (id, matrix, log-matrix) entry of ``mat``'s content."""
+    mat = np.asarray(mat, dtype=float)
+    key = (mat.shape, mat.tobytes())
+    entry = _MATRICES.get(key)
+    if entry is None:
+        if len(_MATRICES) >= TABLE_CAP:
+            _MATRICES.clear()
+        mat = _read_only(mat.copy())
+        entry = _MATRICES[key] = (next(_MATRIX_IDS), mat, _read_only(safe_log(mat)))
+    return entry
+
+
 class _StateModel:
-    """Compiled static part of one state factor: the likelihood entry (key,
-    A, log-A) and one transition entry (key, B, log-B) per acting action.
-    Every action without an entry shares the identity entry (key, I, log-I)."""
+    """Compiled static part of one state factor: the likelihood entry (id,
+    A, log-A) and one transition entry (id, B, log-B) per acting action.
+    Every action without an entry shares the identity entry (id, I, log-I)."""
 
     __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions")
 
@@ -318,10 +348,11 @@ class _StateModel:
 
 
 class _Evidence:
-    """Memo entry for one (likelihood, prior belief, observation): the
-    current value, and per transition key the evaluated :class:`_Term`.
+    """Term-table entry for one (likelihood, prior belief, observation): the
+    current value, and per transition id the evaluated :class:`_Term`.
     States with equal likelihoods share an entry, so the transition comes
-    from the asking state."""
+    from the asking state.  ``prior`` and ``observation`` are read-only
+    private copies: the entry outlives the round that made it."""
 
     __slots__ = ("prior", "observation", "current", "terms")
 
@@ -339,6 +370,7 @@ class _Evidence:
         key, b, _ = state.transition(action)
         term = self.terms.get(key)
         if term is None:
+            _TERMS.admit()
             a = state.likelihood
             bs = [b] * (DEFAULT_HORIZON - 1)
             obs = [self.observation] + [None] * (DEFAULT_HORIZON - 1)
@@ -366,48 +398,84 @@ class _Term:
     def expected_free_energy(self, c: np.ndarray, c_key: bytes) -> float:
         g = self.expected.get(c_key)
         if g is None:
+            _TERMS.admit()
             g = self.expected[c_key] = expected_free_energy(self.beliefs, self.likelihood, c)
         return g
 
 
+class _TermTable:
+    """The process-wide memo of evaluated terms: (likelihood id, prior belief
+    bytes, observation bytes) -> :class:`_Evidence`.
+
+    ``size`` counts the evidence entries, terms and G values stored since the
+    table was last emptied, and the table is emptied before an insert that
+    would take ``size`` past :data:`TABLE_CAP`.  A round that holds an entry
+    across such a clear may still add terms to it; they count too, so
+    ``size`` never understates what the table holds.  The table takes no
+    lock: rounds run on one thread."""
+
+    __slots__ = ("entries", "size")
+
+    def __init__(self):
+        self.entries: dict[tuple, _Evidence] = {}
+        self.size = 0
+
+    def admit(self):
+        """Make room for one more stored value."""
+        if self.size >= TABLE_CAP:
+            self.entries.clear()
+            self.size = 0
+        self.size += 1
+
+    def evidence(self, state: _StateModel, prior, observation) -> _Evidence:
+        prior = np.asarray(prior, dtype=float)
+        if observation is not None:
+            observation = np.asarray(observation, dtype=float)
+        key = (state.key, prior.tobytes(),
+               None if observation is None else observation.tobytes())
+        entry = self.entries.get(key)
+        if entry is None:
+            self.admit()
+            if observation is not None:
+                observation = _read_only(observation.copy())
+            entry = self.entries[key] = _Evidence(
+                state, _read_only(prior.copy()), observation)
+        return entry
+
+
+_TERMS = _TermTable()
+
+
 class CompiledModel:
-    """Static part of a factorized generative model, prepared once, plus the
-    memo of every term evaluated with it.
+    """Static part of a factorized generative model, prepared once per
+    episode.
 
     Per state it holds the likelihood A, the identity I and, per acting
     action, the transition B, each with its log (see :class:`_StateModel`);
     perception (:func:`btai.domain.update_beliefs`) reads the same entries.
-    The inputs are trusted: they were validated where they were parsed
-    (scenario files) or constructed (:class:`Factor`).
+    The entries come from a process-wide intern table keyed by matrix
+    content, so equal matrices share one entry, and one id, across states,
+    models and episodes.  The inputs are trusted: they were validated where
+    they were parsed (scenario files) or constructed (:class:`Factor`).
 
-    A state enters its terms only through A: posterior beliefs and F depend
-    on (A, B, prior belief, observation), and G on those plus the
-    preferences C.  Matrices are keyed by their bytes, so states and actions
-    with equal matrices share keys, and each distinct key is evaluated once
-    and then read back.  Build one model per episode: the memo then lives
-    exactly as long as the episode, and its size is bounded by the number of
-    distinct keys the episode produced.
+    Rounds on any model read and fill one process-wide term table.  A state
+    enters its terms only through A: posterior beliefs and F depend on (A,
+    B, prior belief, observation), and G on those plus the preferences C.
+    Every key is content: a matrix id, or the bytes of a vector.  So two
+    scenarios share a term exactly when its inputs are equal, whatever their
+    action names, and each distinct key is evaluated once, by the same math
+    functions an uncached round calls, and then read back.  Each table holds
+    at most :data:`TABLE_CAP` entries.
     """
 
     def __init__(self, likelihoods: Mapping[str, np.ndarray],
                  transitions: Mapping[str, Mapping[str, np.ndarray]]):
-        # equal matrices share one key, also across states
-        matrices: dict[bytes, tuple] = {}
-
-        def entry(mat) -> tuple:
-            mat = np.asarray(mat, dtype=float)
-            raw = mat.tobytes()
-            if raw not in matrices:
-                matrices[raw] = (len(matrices), mat, safe_log(mat))
-            return matrices[raw]
-
         self.states: dict[str, _StateModel] = {}
         for sid, a in likelihoods.items():
-            a = entry(a)
+            a = _intern(a)
             self.states[sid] = _StateModel(
-                a, entry(np.eye(a[1].shape[0])),
-                {name: entry(b) for name, b in transitions.get(sid, {}).items()})
-        self._memo: dict[tuple, _Evidence] = {}
+                a, _intern(np.eye(a[1].shape[0])),
+                {name: _intern(b) for name, b in transitions.get(sid, {}).items()})
 
     @classmethod
     def from_factors(cls, factors: Mapping[str, Factor]):
@@ -416,17 +484,6 @@ class CompiledModel:
                     {sid: f.transitions for sid, f in factors.items()})
         return (model, {sid: f.prior for sid, f in factors.items()},
                 {sid: f.preferences for sid, f in factors.items()})
-
-    def evidence(self, state: _StateModel, prior, observation) -> _Evidence:
-        prior = np.asarray(prior, dtype=float)
-        if observation is not None:
-            observation = np.asarray(observation, dtype=float)
-        key = (state.key, prior.tobytes(),
-               None if observation is None else observation.tobytes())
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = _Evidence(state, prior, observation)
-        return entry
 
 
 def run_active_inference(
@@ -443,9 +500,9 @@ def run_active_inference(
     :class:`Factor` objects, which is compiled on the spot.
 
     Builds one one-step policy per candidate action, takes per-policy
-    beliefs, F and G per factor from the model's memo (summing F and G
-    across factors), forms the policy posterior and picks the action.  When
-    every preference is already satisfied :data:`IDLE` is returned
+    beliefs, F and G per factor from the process-wide term table (summing F
+    and G across factors), forms the policy posterior and picks the action.
+    When every preference is already satisfied :data:`IDLE` is returned
     outright: the exact expected-free-energy score would otherwise favour
     stochastic self-transitions over doing nothing.
     """
@@ -461,7 +518,7 @@ def run_active_inference(
     c_by_state: dict[str, np.ndarray] = {}
 
     for sid, state in model.states.items():
-        evidence = model.evidence(state, beliefs[sid], observations.get(sid))
+        evidence = _TERMS.evidence(state, beliefs[sid], observations.get(sid))
         c = c_by_state[sid] = np.asarray(preferences[sid], dtype=float)
         c_key = c.tobytes()
         current[sid] = evidence.current

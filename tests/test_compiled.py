@@ -1,6 +1,7 @@
-"""The compiled model's memo must be invisible: memoized rounds equal a
-fresh evaluation bit for bit, and no memo state outlives an episode.
-Perception reads the same model and must equal its formula bit for bit."""
+"""The process-wide term table must be invisible: memoized rounds equal a
+fresh evaluation bit for bit, and sharing the table between models, episodes
+and scenarios changes no byte.  Perception reads the same model and must
+equal its formula bit for bit."""
 
 import os
 import subprocess
@@ -13,6 +14,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import btai
+from btai import inference
 from modelgen import random_model, random_stochastic
 from btai.domain import (
     ActionTemplate,
@@ -24,6 +26,7 @@ from btai.domain import (
 from btai.episode import run_episode, write_trace
 from btai.inference import (
     CompiledModel,
+    Factor,
     expected_free_energy,
     policy_posterior,
     run_active_inference,
@@ -60,6 +63,21 @@ def uncached_round(likelihoods, transitions, beliefs, preferences, actions,
     return f, g, pi, chosen
 
 
+def _split(factors):
+    return ({sid: f.likelihood for sid, f in factors.items()},
+            {sid: f.transitions for sid, f in factors.items()})
+
+
+def _assert_round_equals_uncached(out, likelihoods, transitions, beliefs,
+                                  preferences, actions, observations):
+    f, g, pi, chosen = uncached_round(likelihoods, transitions, beliefs,
+                                      preferences, actions, observations)
+    assert np.array_equal(out.free_energy, f)
+    assert np.array_equal(out.expected_free_energy, g)
+    assert np.array_equal(out.policy_probs, pi)
+    assert out.chosen_action == chosen
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans(),
        rounds=st.integers(1, 8))
@@ -67,8 +85,7 @@ def test_memoized_rounds_equal_uncached_evaluation(seed, identity, rounds):
     rng = np.random.default_rng(seed)
     factors, actions, observations = random_model(
         rng, identity_likelihood=identity)
-    likelihoods = {sid: f.likelihood for sid, f in factors.items()}
-    transitions = {sid: f.transitions for sid, f in factors.items()}
+    likelihoods, transitions = _split(factors)
     model, beliefs, base_c = CompiledModel.from_factors(factors)
     # small pools, so that later rounds revisit earlier keys; uniform
     # beliefs make states of equal size share memo entries
@@ -87,12 +104,96 @@ def test_memoized_rounds_equal_uncached_evaluation(seed, identity, rounds):
         k = int(rng.integers(1, len(actions) + 1))
         candidates = [str(u) for u in rng.permutation(actions)[:k]]
         out = run_active_inference(model, candidates, observations, d, c)
-        f, g, pi, chosen = uncached_round(likelihoods, transitions, d, c,
+        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+                                      candidates, observations)
+
+
+def test_models_with_equal_action_names_keep_their_own_terms():
+    rng = np.random.default_rng(3)
+    d = {"s": rng.dirichlet(np.ones(3))}
+    c = {"s": np.array([0.0, 1.0, 0.0])}
+    o = {"s": np.eye(3)[2]}
+    likelihoods = {"s": np.eye(3)}
+    outcomes = []
+    for _ in range(3):
+        # same state, same action names, a different B for each model
+        transitions = {"s": {"act": random_stochastic(rng, 3)}}
+        model = CompiledModel(likelihoods, transitions)
+        out = run_active_inference(model, ["Idle", "act"], o, d, c)
+        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+                                      ["Idle", "act"], o)
+        outcomes.append(out.expected_free_energy[1])
+    assert len(set(outcomes)) == 3
+
+
+def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
+    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    checked = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        factors, actions, observations = random_model(
+            rng, identity_likelihood=False)
+        if len(actions) < 2:
+            continue
+        likelihoods, transitions = _split(factors)
+        model, beliefs, c = CompiledModel.from_factors(factors)
+        d = {sid: b.copy() for sid, b in beliefs.items()}
+        o = {sid: None if x is None else x.copy() for sid, x in observations.items()}
+        # the first round evaluates only Idle's terms ...
+        run_active_inference(model, ["Idle"], o, d, c)
+        # ... then the caller reuses its arrays in place
+        for sid, b in d.items():
+            b[:] = rng.dirichlet(np.ones(b.size))
+            if o[sid] is not None:
+                o[sid][:] = np.roll(o[sid], 1)
+        # a later round on the original values evaluates the other terms
+        out = run_active_inference(model, actions, observations, beliefs, c)
+        _assert_round_equals_uncached(out, likelihoods, transitions, beliefs, c,
+                                      actions, observations)
+        checked += 1
+    assert checked >= 5
+
+
+def _table_size(table) -> int:
+    """Evidence entries, terms and G values the term table holds."""
+    return sum(1 + len(e.terms) + sum(len(t.expected) for t in e.terms.values())
+               for e in table.entries.values())
+
+
+def test_tables_stay_within_their_cap(monkeypatch):
+    cap = 40
+    monkeypatch.setattr(inference, "TABLE_CAP", cap)
+    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MATRICES", {})
+    admitted = []
+    admit = inference._TermTable.admit
+
+    def counting_admit(self):
+        admitted.append(1)
+        admit(self)
+
+    monkeypatch.setattr(inference._TermTable, "admit", counting_admit)
+    rng = np.random.default_rng(11)
+    # the first model outlives many clears of both tables
+    first = random_model(rng)
+    first_model = CompiledModel.from_factors(first[0])
+    for i in range(80):
+        factors, actions, observations = first if i % 10 == 0 else random_model(rng)
+        likelihoods, transitions = _split(factors)
+        model, beliefs, c = (first_model if i % 10 == 0
+                             else CompiledModel.from_factors(factors))
+        # revisit a few beliefs, so that later rounds hit earlier keys
+        pool = [beliefs, {sid: rng.dirichlet(np.ones(f.m)) for sid, f in factors.items()}]
+        for _ in range(3):
+            d = pool[int(rng.integers(len(pool)))]
+            k = int(rng.integers(1, len(actions) + 1))
+            candidates = [str(u) for u in rng.permutation(actions)[:k]]
+            out = run_active_inference(model, candidates, observations, d, c)
+            _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                           candidates, observations)
-        assert np.array_equal(out.free_energy, f)
-        assert np.array_equal(out.expected_free_energy, g)
-        assert np.array_equal(out.policy_probs, pi)
-        assert out.chosen_action == chosen
+            assert _table_size(inference._TERMS) <= inference._TERMS.size <= cap
+            assert len(inference._MATRICES) <= cap
+    assert len(admitted) > 5 * cap
 
 
 def _scenario_docs():
@@ -116,7 +217,7 @@ def _trace_alone(doc_path: Path, out: Path) -> bytes:
     return out.read_bytes()
 
 
-def test_back_to_back_episodes_do_not_share_memo(tmp_path):
+def test_back_to_back_episodes_share_memo_byte_for_byte(tmp_path):
     docs = _scenario_docs()
     alone = {}
     for name, doc in docs.items():
@@ -131,6 +232,45 @@ def test_back_to_back_episodes_do_not_share_memo(tmp_path):
             sc = scenario_from_dict(docs[name], source=name)
             write_trace(run_episode(sc), trace)
             assert trace.read_bytes() == alone[name], name
+
+
+def test_factor_round_after_episode_reads_the_episode_terms(monkeypatch):
+    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MATRICES", {})
+    sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))
+    result = run_episode(sc)
+    registry = sc.registry()
+    likelihoods = {s.id: registry.likelihood(s.id) for s in registry}
+    transitions = {s.id: {a.name: a.transitions[s.id] for a in sc.actions
+                          if s.id in a.transitions} for s in registry}
+    sweeps = []
+    sweep = inference.update_posterior_states
+
+    def counting_sweep(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(inference, "update_posterior_states", counting_sweep)
+    rounds = 0
+    for record in result.records:
+        beliefs = {sid: np.array(b) for sid, b in record["beliefs"].items()}
+        observations = {s.id: (None if record["observations"][s.id] is None
+                               else np.eye(s.m)[record["observations"][s.id]])
+                        for s in registry}
+        for verdict in record["selector"]:
+            for call in verdict["calls"]:
+                c = {sid: np.array(v) for sid, v in call["preferences"].items()}
+                factors = {sid: Factor(likelihoods[sid], transitions[sid],
+                                       beliefs[sid], c[sid]) for sid in likelihoods}
+                out = run_active_inference(factors, call["candidates"], observations)
+                _assert_round_equals_uncached(out, likelihoods, transitions, beliefs,
+                                              c, call["candidates"], observations)
+                assert out.free_energy.tolist() == call["F"]
+                assert out.expected_free_energy.tolist() == call["G"]
+                rounds += 1
+    assert rounds > 0
+    # a model built from Factor objects shares the episode's entries
+    assert not sweeps
 
 
 def term_by_term_belief(b, observation, transition):
