@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Sequence
 
-from .domain import Predicate
+from .domain import Predicate, strict_int
 
 
 class TickStatus(enum.Enum):
@@ -213,7 +213,8 @@ def _build_node(spec, registry, actions_by_name, path) -> BTNode:
         ]
         return _CONTROL_KINDS[kind](children)
     if kind == "condition":
-        pred = Predicate(body["state"], int(body.get("index", 0)))
+        pred = Predicate(body["state"],
+                         strict_int(body.get("index", 0), f"{path}/condition index"))
         if pred.state_id not in registry:
             raise TreeError(f"{path}/condition: unknown state {pred.state_id!r}")
         registry.validate_predicate(pred)
@@ -229,7 +230,8 @@ def _build_node(spec, registry, actions_by_name, path) -> BTNode:
             raise TreeError(f"{path}/prior: needs a non-empty target list")
         targets = []
         for i, t in enumerate(raw):
-            sid, idx = t["state"], int(t.get("index", 0))
+            sid = t["state"]
+            idx = strict_int(t.get("index", 0), f"{path}/prior[{i}] index")
             if sid not in registry:
                 raise TreeError(f"{path}/prior[{i}]: unknown state {sid!r}")
             registry.validate_predicate(Predicate(sid, idx))

@@ -1,8 +1,10 @@
-"""Symbolic world model: states, observations, predicates, action templates
-and the run-time prior (preference) bookkeeping.
+"""Symbolic world model: states, predicates, action templates and the
+run-time prior (preference) bookkeeping.
 
-States are small categorical variables; beliefs over them live on the simplex
-and the logical state is the one-hot argmax used to evaluate predicates.
+States are small categorical variables; beliefs over them live on the simplex.
+Observations, the logical state and predicates name a state's value by its
+index: the logical state maps each state to the index of its most likely
+value, and a predicate holds when that index is the one it requires.
 Preferences come from two sources: nominal entries written by the behavior
 tree (value 1) and pushed entries for missing action preconditions (value 2,
 higher priority, removed as soon as they hold).
@@ -56,24 +58,18 @@ class Predicate:
     required_index: int
 
 
-@dataclass(frozen=True)
-class Observation:
-    state_id: str
-    one_hot: Optional[np.ndarray]  # None when the state is unobservable
-
-    @property
-    def absent(self) -> bool:
-        return self.one_hot is None
+def strict_int(value, what: str) -> int:
+    """``value`` when it is an integer (a bool is not), else TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class LogicalState:
-    state_id: str
-    one_hot: np.ndarray
-
-    @property
-    def index(self) -> int:
-        return int(np.argmax(self.one_hot))
+def strict_bool(value, what: str) -> bool:
+    """``value`` when it is a bool, else TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def achieve_matrix(m: int, target: int) -> np.ndarray:
@@ -209,13 +205,14 @@ class StateRegistry:
 
 def update_beliefs(
     beliefs: Mapping[str, np.ndarray],
-    observations: Mapping[str, Observation],
+    observations: Mapping[str, Optional[int]],
     last_action: Optional[ActionTemplate],
     model: CompiledModel,
 ) -> dict[str, np.ndarray]:
     """One perception step on the episode's compiled ``model``: propagate each
     belief through the last action's transition (identity where the action
-    did not act) and fold in the observation evidence where present."""
+    did not act) and fold in the evidence of each observed value index
+    (None, or no entry, for a state without an observation)."""
     for sid in observations:
         if sid not in model.states:
             raise UnknownStateError(sid)
@@ -224,42 +221,41 @@ def update_beliefs(
         b = np.asarray(beliefs[sid], dtype=float)
         # declared, not compared with I: an explicit identity B still acts
         acted = last_action is not None and sid in last_action.transitions
-        obs = observations.get(sid)
-        absent = obs is None or obs.absent
-        if not acted and absent:
+        index = observations.get(sid)
+        if not acted and index is None:
             # no evidence and identity dynamics: the softmax of the clamped
             # log-identity would sharpen the belief, so leave it alone
             updated[sid] = b.copy()
             continue
         _, _, log_b = state.transitions[last_action.name] if acted else state.identity
         v = log_b @ b
-        if not absent:
-            v = v + state.evidence(obs.one_hot)
+        if index is not None:
+            v = v + state.evidence(state.observation(index))
         updated[sid] = softmax(v)
     return updated
 
 
-def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, LogicalState]:
-    """One-hot argmax of each belief; ties resolve to the lowest index.
+def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, int]:
+    """Index of each belief's most likely value; ties resolve to the lowest
+    index.
 
     Entries within 1e-9 of the maximum count as tied, so the tie rule is not
     decided by floating-point residue of the clamped-log updates."""
-    out: dict[str, LogicalState] = {}
+    out: dict[str, int] = {}
     for sid, b in beliefs.items():
-        b = np.asarray(b, dtype=float)
-        tied = np.nonzero(b >= b.max() - 1e-9)[0]
-        one_hot = np.zeros_like(b)
-        one_hot[int(tied[0])] = 1.0
-        out[sid] = LogicalState(sid, one_hot)
+        values = np.asarray(b, dtype=float).tolist()
+        top = max(values)
+        out[sid] = [v >= top - 1e-9 for v in values].index(True)
     return out
 
 
-def holds(pred: Predicate, logical: Mapping[str, LogicalState],
-          registry: StateRegistry) -> bool:
-    registry.validate_predicate(pred)
-    if pred.state_id not in logical:
-        raise UnknownStateError(pred.state_id)
-    return logical[pred.state_id].one_hot[pred.required_index] == 1.0
+def holds(pred: Predicate, logical: Mapping[str, int]) -> bool:
+    """Whether the logical state gives ``pred``'s state its required value.
+
+    Predicates are validated where they are built: tree conditions and prior
+    targets by :func:`btai.bt.build_tree`, pre- and postconditions by
+    :meth:`StateRegistry.validate_action`."""
+    return logical[pred.state_id] == pred.required_index
 
 
 class PriorSet:

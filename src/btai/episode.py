@@ -56,8 +56,8 @@ class EpisodeContext:
         self.priors = priors
         self.model = model
         self.beliefs: dict[str, np.ndarray] = {}
-        self.observations = {}
-        self.logical = {}
+        self.observations: dict[str, Optional[int]] = {}
+        self.logical: dict[str, int] = {}
         # per-root-tick bookkeeping
         self.visited: list[int] = []
         self.verdicts: list[tuple[int, SelectorVerdict]] = []
@@ -79,7 +79,7 @@ class EpisodeContext:
         self.visited.append(node.node_id)
 
     def holds(self, pred: Predicate) -> bool:
-        return holds(pred, self.logical, self.registry)
+        return holds(pred, self.logical)
 
     def run_action(self, node: Action) -> TickStatus:
         result = self.world.last_result
@@ -157,15 +157,11 @@ def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
 def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus,
                  registry: StateRegistry) -> dict:
     # field order is fixed on purpose: traces must be byte-reproducible
-    observations = {}
-    for state in registry:
-        o = ctx.observations[state.id]
-        observations[state.id] = None if o.absent else int(np.argmax(o.one_hot))
     return {
         "tick": tick,
-        "observations": observations,
+        "observations": {s.id: ctx.observations[s.id] for s in registry},
         "beliefs": {s.id: ctx.beliefs[s.id].tolist() for s in registry},
-        "logical": {s.id: ctx.logical[s.id].index for s in registry},
+        "logical": {s.id: ctx.logical[s.id] for s in registry},
         "preferences": {sid: c.tolist()
                         for sid, c in ctx.priors.assemble_all(registry).items()},
         "selector": [_serialize_verdict(nid, v) for nid, v in ctx.verdicts],

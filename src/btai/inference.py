@@ -343,6 +343,11 @@ class _StateModel:
     def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
 
+    def observation(self, index: Optional[int]) -> Optional[np.ndarray]:
+        """The one-hot vector of observed value ``index`` (None for no
+        observation): a read-only row of the interned identity."""
+        return None if index is None else self.identity[1][index]
+
     def evidence(self, observation: np.ndarray) -> np.ndarray:
         return self.log_likelihood.T @ observation
 

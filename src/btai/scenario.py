@@ -23,6 +23,8 @@ from .domain import (
     StateRegistry,
     StateVar,
     achieve_matrix,
+    strict_bool,
+    strict_int,
 )
 from .inference import IDLE
 from .world import PerturbationEvent, World
@@ -76,7 +78,7 @@ class Scenario:
 
 def _parse_predicate(raw, source) -> Predicate:
     try:
-        return Predicate(str(raw["state"]), int(raw.get("index", 0)))
+        return Predicate(str(raw["state"]), strict_int(raw.get("index", 0), "index"))
     except (KeyError, TypeError) as exc:
         raise ScenarioError(source, f"bad predicate entry {raw!r}") from exc
 
@@ -90,7 +92,7 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
     post = []
     for p in raw.get("post", []):
         try:
-            post.append((str(p["state"]), int(p.get("index", 0))))
+            post.append((str(p["state"]), strict_int(p.get("index", 0), "index")))
         except (KeyError, TypeError) as exc:
             raise ScenarioError(source, f"action {name}: bad postcondition {p!r}") from exc
     transitions = {}
@@ -112,7 +114,7 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
         preconditions=pre,
         postconditions=tuple(post),
         transitions=transitions,
-        duration_ticks=int(raw.get("duration", 3)),
+        duration_ticks=strict_int(raw.get("duration", 3), f"action {name}: duration"),
         success_prob=(float(raw["success_prob"])
                       if "success_prob" in raw else None),
     )
@@ -161,7 +163,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         raise ScenarioError(source, "duplicate action names")
 
     world = data["world"]
-    fluents = {str(k): int(v) for k, v in world.get("fluents", {}).items()}
+    fluents = {str(k): strict_int(v, f"world.fluents[{k}]")
+               for k, v in world.get("fluents", {}).items()}
     for state in registry:
         if state.id not in fluents:
             raise ScenarioError(source, f"world.fluents missing state {state.id!r}")
@@ -170,7 +173,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     for sid in fluents:
         if sid not in registry:
             raise ScenarioError(source, f"world.fluents names unknown state {sid!r}")
-    observable = {s.id: bool(world.get("observable", {}).get(s.id, True))
+    observable = {s.id: strict_bool(world.get("observable", {}).get(s.id, True),
+                                    f"world.observable[{s.id}]")
                   for s in registry}
     for sid in world.get("observable", {}):
         if sid not in registry:
@@ -180,8 +184,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     last_tick = None
     for raw in data.get("perturbations", []):
         try:
-            at_tick = int(raw["at_tick"])
-        except (KeyError, TypeError) as exc:
+            at_tick = strict_int(raw["at_tick"], "perturbation at_tick")
+        except KeyError as exc:
             raise ScenarioError(source, f"perturbation missing at_tick: {raw!r}") from exc
         if last_tick is not None and at_tick < last_tick:
             raise ScenarioError(source, "perturbation ticks must be non-decreasing")
@@ -190,11 +194,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         for sid, idx in raw.get("set", {}).items():
             if sid not in registry:
                 raise ScenarioError(source, f"perturbation names unknown state {sid!r}")
-            try:
-                idx = int(idx)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(
-                    source, f"perturbation at tick {at_tick}: bad index {idx!r} for {sid}") from exc
+            idx = strict_int(idx, f"perturbation at tick {at_tick}: index for {sid}")
             if not 0 <= idx < registry.get(sid).m:
                 raise ScenarioError(
                     source, f"perturbation at tick {at_tick}: index {idx} out of range for {sid}")
@@ -203,7 +203,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         for sid, flag in raw.get("observable", {}).items():
             if sid not in registry:
                 raise ScenarioError(source, f"perturbation names unknown state {sid!r}")
-            obs_changes.append((str(sid), bool(flag)))
+            obs_changes.append((str(sid), strict_bool(
+                flag, f"perturbation at tick {at_tick}: observable[{sid}]")))
         perturbations.append(PerturbationEvent(at_tick, tuple(assignments),
                                                tuple(obs_changes)))
 
@@ -214,10 +215,10 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     if not 0.0 <= noise_p <= 1.0:
         raise ScenarioError(source, f"world.noise_p must lie in [0, 1] (got {noise_p})")
 
-    budget = int(data.get("budget_ticks", 100))
+    budget = strict_int(data.get("budget_ticks", 100), "budget_ticks")
     if budget < 1:
         raise ScenarioError(source, "budget_ticks must be >= 1")
-    seed = int(data.get("seed", 0))
+    seed = strict_int(data.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioError(source, "seed must be >= 0")
 
@@ -231,7 +232,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         noise_p=noise_p,
         perturbations=perturbations,
         budget_ticks=budget,
-        deterministic=bool(data.get("deterministic", True)),
+        deterministic=strict_bool(data.get("deterministic", True), "deterministic"),
         seed=seed,
         source=source,
     )

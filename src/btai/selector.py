@@ -13,15 +13,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .bt import TickStatus
-from .domain import (
-    ActionTemplate,
-    LogicalState,
-    Observation,
-    Predicate,
-    PriorSet,
-    StateRegistry,
-    holds,
-)
+from .domain import ActionTemplate, Predicate, PriorSet, StateRegistry, holds
 from .inference import IDLE, CompiledModel, InferenceOutcome, run_active_inference
 
 
@@ -55,53 +47,51 @@ def compile_model(registry: StateRegistry,
     )
 
 
-def _viable(action: ActionTemplate, logical: Mapping[str, LogicalState],
-            registry: StateRegistry) -> bool:
+def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
     """An action is a candidate unless all its declared postconditions
     already hold: such an action cannot improve anything, yet the entropy
     term of the expected free energy would still reward its noisy dynamics."""
     if not action.postconditions:
         return True  # Idle and other pure no-ops stay available
     return not all(
-        holds(Predicate(sid, idx), logical, registry)
-        for sid, idx in action.postconditions
+        holds(Predicate(sid, idx), logical) for sid, idx in action.postconditions
     )
 
 
 def adaptive_select(
     priors: PriorSet,
     beliefs: Mapping[str, np.ndarray],
-    observations: Mapping[str, Observation],
+    observations: Mapping[str, Optional[int]],
     actions: Sequence[ActionTemplate],
-    logical: Mapping[str, LogicalState],
+    logical: Mapping[str, int],
     registry: StateRegistry,
     model: CompiledModel,
     execute: Optional[Callable[[ActionTemplate], None]] = None,
 ) -> SelectorVerdict:
     """One adaptive-selection round for the currently set preferences.
 
-    ``beliefs`` and ``logical`` must already reflect this tick's observations;
-    ``model`` is the episode's compiled model of ``registry`` and
-    ``actions`` (see :func:`compile_model`); ``execute`` is invoked with the
-    action to start or continue.
+    ``beliefs`` and ``logical`` must already reflect this tick's
+    ``observations`` (value indices, None where unobserved); ``model`` is
+    the episode's compiled model of ``registry`` and ``actions`` (see
+    :func:`compile_model`); ``execute`` is invoked with the action to start
+    or continue.
     """
     verdict = SelectorVerdict(status=TickStatus.RUNNING)
 
     # drop pushed preferences that now hold
     for pred in priors.pushed_predicates():
-        if holds(pred, logical, registry):
+        if holds(pred, logical):
             priors.remove_pushed(pred.state_id)
             verdict.removed_pushed.append(pred)
 
     by_name = {a.name: a for a in actions}
-    obs_vectors = {
-        sid: (o.one_hot if not o.absent else None) for sid, o in observations.items()
-    }
+    obs_vectors = {sid: model.states[sid].observation(index)
+                   for sid, index in observations.items()}
     excluded: set[str] = set()
 
     while True:
         candidates = [a.name for a in actions
-                      if a.name not in excluded and _viable(a, logical, registry)]
+                      if a.name not in excluded and _viable(a, logical)]
         preferences = priors.assemble_all(registry)
         outcome = run_active_inference(model, candidates, obs_vectors, beliefs,
                                        preferences)
@@ -120,7 +110,7 @@ def adaptive_select(
             return verdict
 
         verdict.chain.append(chosen.name)
-        unmet = [p for p in chosen.preconditions if not holds(p, logical, registry)]
+        unmet = [p for p in chosen.preconditions if not holds(p, logical)]
         if not unmet:
             verdict.status = TickStatus.RUNNING
             verdict.action = chosen

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .domain import ActionTemplate, Observation, StateRegistry
+from .domain import ActionTemplate, StateRegistry
 
 
 class ProtocolError(RuntimeError):
@@ -65,21 +65,19 @@ class World:
         self.last_result: Optional[RunningAction] = None
         self._applied_events = 0
 
-    def observe(self) -> dict[str, Observation]:
-        """One-hot of each observable fluent, flipped to a random wrong value
-        with probability noise_p; unobservable states report Absent."""
-        out: dict[str, Observation] = {}
+    def observe(self) -> dict[str, Optional[int]]:
+        """Value index of each observable fluent, flipped to a random wrong
+        value with probability noise_p; None for unobservable states."""
+        out: dict[str, Optional[int]] = {}
         for state in self.registry:
             if not self.observable[state.id]:
-                out[state.id] = Observation(state.id, None)
+                out[state.id] = None
                 continue
             idx = self.fluents[state.id]
             if self.noise_p > 0.0 and self.rng.random() < self.noise_p:
                 wrong = [i for i in range(state.m) if i != idx]
                 idx = wrong[self.rng.integers(len(wrong))]
-            one_hot = np.zeros(state.m)
-            one_hot[idx] = 1.0
-            out[state.id] = Observation(state.id, one_hot)
+            out[state.id] = idx
         return out
 
     def start_action(self, template: ActionTemplate) -> RunningAction:

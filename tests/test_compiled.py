@@ -18,7 +18,6 @@ from btai import inference
 from modelgen import random_model, random_stochastic
 from btai.domain import (
     ActionTemplate,
-    Observation,
     StateRegistry,
     StateVar,
     update_beliefs,
@@ -308,10 +307,11 @@ def test_update_beliefs_equals_term_by_term_formula(seed):
             b = rng.dirichlet(np.ones(s.m))
             if rng.random() < 0.3:
                 b = np.eye(s.m)[rng.integers(s.m)]
-            kind = rng.integers(3)  # one-hot, absent, or not reported at all
-            o = np.eye(s.m)[rng.integers(s.m)] if kind == 0 else None
+            kind = rng.integers(3)  # an index, None, or not reported at all
+            index = int(rng.integers(s.m)) if kind == 0 else None
+            o = None if index is None else np.eye(s.m)[index]
             if kind < 2:
-                observations[s.id] = Observation(s.id, o)
+                observations[s.id] = index
             beliefs[s.id] = b
             transition = None if last is None else last.transitions.get(s.id)
             expected[s.id] = term_by_term_belief(b, o, transition)

@@ -4,7 +4,6 @@ import pytest
 from btai.domain import (
     ActionTemplate,
     DomainError,
-    Observation,
     Predicate,
     PriorSet,
     StateRegistry,
@@ -110,8 +109,7 @@ class TestUpdateBeliefs:
     def test_bayes_step_from_uniform(self):
         reg = make_registry()
         beliefs = reg.uniform_beliefs()
-        obs = {"isAt": Observation("isAt", np.array([0.0, 1.0])),
-               "isHolding": Observation("isHolding", None)}
+        obs = {"isAt": 1, "isHolding": None}
         out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         assert out["isAt"][1] == pytest.approx(1.0, abs=1e-9)
         assert out["isAt"][0] == pytest.approx(1e-16, rel=0.5)
@@ -119,43 +117,39 @@ class TestUpdateBeliefs:
     def test_absent_observation_keeps_belief(self):
         reg = make_registry()
         beliefs = {"isAt": np.array([0.7, 0.3]), "isHolding": np.array([0.5, 0.5])}
-        obs = {"isAt": Observation("isAt", None),
-               "isHolding": Observation("isHolding", None)}
+        obs = {"isAt": None, "isHolding": None}
         out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         assert out["isAt"] == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_unknown_state_in_observation(self):
         reg = make_registry()
-        obs = {"ghost": Observation("ghost", np.array([1.0, 0.0]))}
+        obs = {"ghost": 0}
         with pytest.raises(UnknownStateError):
             update_beliefs(reg.uniform_beliefs(), obs, None, compile_model(reg, []))
 
     def test_contradiction_flips_within_two_updates(self):
         reg = make_registry()
         beliefs = {"isAt": np.array([1.0, 0.0]), "isHolding": np.array([0.5, 0.5])}
-        obs = {"isAt": Observation("isAt", np.array([0.0, 1.0])),
-               "isHolding": Observation("isHolding", None)}
+        obs = {"isAt": 1, "isHolding": None}
         beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
-        assert logical_state(beliefs)["isAt"].index == 1
+        assert logical_state(beliefs)["isAt"] == 1
 
     def test_noiseless_observation_sets_logical_state(self):
         reg = make_registry()
         beliefs = reg.uniform_beliefs()
-        obs = {"isAt": Observation("isAt", np.array([1.0, 0.0])),
-               "isHolding": Observation("isHolding", np.array([0.0, 1.0]))}
+        obs = {"isAt": 0, "isHolding": 1}
         out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
         logical = logical_state(out)
-        assert logical["isAt"].index == 0
-        assert logical["isHolding"].index == 1
+        assert logical["isAt"] == 0
+        assert logical["isHolding"] == 1
 
     def test_simplex_preserved(self):
         reg = make_registry()
         rng = np.random.default_rng(3)
         beliefs = reg.uniform_beliefs()
         for _ in range(20):
-            obs = {s.id: Observation(s.id, np.eye(2)[rng.integers(2)])
-                   for s in reg}
+            obs = {s.id: int(rng.integers(2)) for s in reg}
             beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
             for b in beliefs.values():
                 assert b.sum() == pytest.approx(1.0, abs=1e-9)
@@ -164,30 +158,23 @@ class TestUpdateBeliefs:
 class TestLogicalState:
     def test_paper_belief(self):
         out = logical_state({"g": np.array([0.08, 0.92])})
-        assert out["g"].one_hot == pytest.approx([0.0, 1.0])
+        assert out["g"] == 1
 
     def test_tie_goes_low(self):
         out = logical_state({"g": np.array([0.5, 0.5])})
-        assert out["g"].one_hot == pytest.approx([1.0, 0.0])
+        assert out["g"] == 0
 
     def test_argmax(self):
         out = logical_state({"g": np.array([0.2, 0.3, 0.5])})
-        assert out["g"].index == 2
+        assert out["g"] == 2
 
 
 class TestHolds:
     def test_true_case(self):
-        reg = make_registry()
         logical = logical_state({"isAt": np.array([1.0, 0.0]),
                                  "isHolding": np.array([0.0, 1.0])})
-        assert holds(Predicate("isAt", 0), logical, reg)
-        assert not holds(Predicate("isHolding", 0), logical, reg)
-
-    def test_out_of_range_index(self):
-        reg = make_registry()
-        logical = logical_state({"isAt": np.array([1.0, 0.0])})
-        with pytest.raises(DomainError):
-            holds(Predicate("isAt", 5), logical, reg)
+        assert holds(Predicate("isAt", 0), logical)
+        assert not holds(Predicate("isHolding", 0), logical)
 
 
 class TestPriorSet:

@@ -186,8 +186,12 @@ def _set(path, value):
     return edit
 
 
-# each edit of scenario_1 escaped as a raw exception before it was caught
-# at the scenario_from_dict boundary
+def _prior_target(data):
+    return data["bt"]["reactive_sequence"][0]["prior"]["targets"][0]
+
+
+# each edit makes scenario_1 malformed: loading it must raise ScenarioError
+# and make the CLI exit 3, whichever check catches it
 MALFORMED = {
     "condition-without-state": lambda d: _condition(d).pop("state"),
     "action-node-without-name": _set(
@@ -216,6 +220,27 @@ MALFORMED = {
     "seed-negative": _set(("seed",), -1),
     "condition-index-negative": lambda d: _condition(d).update(index=-1),
     "post-index-not-a-number": _set(("actions", 1, "post", 0, "index"), "a"),
+    # value indices are range-checked where predicates are built
+    "condition-index-5": lambda d: _condition(d).update(index=5),
+    "prior-index-5": lambda d: _prior_target(d).update(index=5),
+    "prior-index-negative": lambda d: _prior_target(d).update(index=-1),
+    "pre-index-5": _set(("actions", 3, "pre", 0, "index"), 5),
+    "pre-index-negative": _set(("actions", 3, "pre", 0, "index"), -1),
+    "post-index-5": _set(("actions", 1, "post", 0, "index"), 5),
+    # integers and booleans are taken as they are, never coerced
+    "condition-index-a-float": lambda d: _condition(d).update(index=1.7),
+    "pre-index-a-bool": _set(("actions", 3, "pre", 0, "index"), True),
+    "budget-a-float": _set(("budget_ticks",), 2.7),
+    "duration-a-float": _set(("actions", 1, "duration"), 2.5),
+    "deterministic-a-string": _set(("deterministic",), "no"),
+    "observable-flag-a-string": _set(("world", "observable"), {"isAt": "yes"}),
+    "fluent-a-bool": _set(("world", "fluents", "isAt"), True),
+    "perturbation-at-tick-a-float": _set(("perturbations",),
+                                         [{"at_tick": 2.5, "set": {"isAt": 0}}]),
+    "perturbation-index-a-bool": _set(("perturbations",),
+                                      [{"at_tick": 2, "set": {"isAt": True}}]),
+    "perturbation-observable-a-string": _set(
+        ("perturbations",), [{"at_tick": 2, "observable": {"isAt": "off"}}]),
 }
 
 

@@ -4,7 +4,6 @@ import pytest
 from btai.bt import TickStatus
 from btai.domain import (
     ActionTemplate,
-    Observation,
     Predicate,
     PriorSet,
     StateRegistry,
@@ -48,13 +47,11 @@ def setting(registry, indices):
     beliefs = {}
     observations = {}
     for state in registry:
-        one_hot = np.zeros(state.m)
-        one_hot[indices[state.id]] = 1.0
         # sharply peaked but not degenerate, as after a few updates
         b = np.full(state.m, 1e-12)
         b[indices[state.id]] = 1.0 - 1e-12 * (state.m - 1)
         beliefs[state.id] = b
-        observations[state.id] = Observation(state.id, one_hot)
+        observations[state.id] = indices[state.id]
     return beliefs, observations, logical_state(beliefs)
 
 

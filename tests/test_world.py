@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from btai.domain import ActionTemplate, StateRegistry, StateVar, achieve_matrix
@@ -30,26 +29,26 @@ def make_world(**kw):
 class TestObserve:
     def test_noiseless_one_hot(self):
         obs = make_world().observe()
-        assert obs["isAt"].one_hot == pytest.approx([0.0, 1.0])
-        assert obs["isHolding"].one_hot == pytest.approx([1.0, 0.0])
+        assert obs["isAt"] == 1
+        assert obs["isHolding"] == 0
 
     def test_unobservable_is_absent(self):
         w = make_world(observable={"isAt": False, "isHolding": True})
         obs = w.observe()
-        assert obs["isAt"].absent
-        assert not obs["isHolding"].absent
+        assert obs["isAt"] is None
+        assert obs["isHolding"] is not None
 
     def test_full_noise_always_wrong(self):
         w = make_world(noise_p=1.0)
         for _ in range(20):
-            assert w.observe()["isAt"].one_hot == pytest.approx([1.0, 0.0])
+            assert w.observe()["isAt"] == 0
 
     def test_seeded_noise_reproducible(self):
         a = make_world(noise_p=0.5, seed=123)
         b = make_world(noise_p=0.5, seed=123)
         for _ in range(50):
             oa, ob = a.observe(), b.observe()
-            assert np.array_equal(oa["isAt"].one_hot, ob["isAt"].one_hot)
+            assert oa["isAt"] == ob["isAt"]
 
 
 class TestActions:
@@ -130,7 +129,7 @@ class TestPerturbations:
         w = make_world()
         schedule = [PerturbationEvent(1, (), (("isAt", False),))]
         w.step(schedule)
-        assert w.observe()["isAt"].absent
+        assert w.observe()["isAt"] is None
 
     def test_idle_world_only_advances_tick(self):
         w = make_world()
@@ -163,7 +162,7 @@ class TestNoiseTracking:
         ticks = 1000
         for _ in range(ticks):
             beliefs = update_beliefs(beliefs, w.observe(), None, model)
-            if logical_state(beliefs)["flag"].index == w.fluents["flag"]:
+            if logical_state(beliefs)["flag"] == w.fluents["flag"]:
                 hits += 1
             w.step()
         assert hits / ticks >= 0.95
