@@ -12,6 +12,7 @@ higher priority, removed as soon as they hold).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -62,6 +63,17 @@ def strict_int(value, what: str) -> int:
     """``value`` when it is an integer (a bool is not), else TypeError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def strict_float(value, what: str) -> float:
+    """``value`` as a float when it is a finite integer or float (a bool is
+    not), else TypeError or ValueError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -264,34 +276,37 @@ class PriorSet:
     Nominal entries are keyed by the behavior-tree node that wrote them and
     are rewritten every tick; pushed entries persist until their predicate
     holds.  When both address the same state the pushed value wins on the
-    index it sets.
+    index it sets.  :meth:`assemble_all` memoizes its vectors by content
+    for the life of the store, which is one episode.
     """
 
     def __init__(self):
         self._nominal: dict[object, tuple[tuple[str, int], ...]] = {}
         self._pushed: dict[str, int] = {}
+        # (registry, nominal targets, pushed entries) -> read-only vectors
+        self._assembled: dict[tuple, dict[str, np.ndarray]] = {}
+        # (registry, vectors) of the last assembly; None after a change
+        self._current: Optional[tuple] = None
 
     def set_nominal(self, key, targets: Iterable[tuple[str, int]]):
         self._nominal[key] = tuple(targets)
+        self._current = None
 
-    def clear_nominal(self, key=None):
-        if key is None:
-            self._nominal.clear()
-        else:
-            self._nominal.pop(key, None)
+    def clear_nominal(self):
+        self._nominal.clear()
+        self._current = None
 
     def push(self, pred: Predicate):
         # at most one pushed entry per state: a newer push replaces the old
         self._pushed[pred.state_id] = pred.required_index
+        self._current = None
 
     def pushed_predicates(self) -> list[Predicate]:
         return [Predicate(sid, idx) for sid, idx in self._pushed.items()]
 
     def remove_pushed(self, state_id: str):
         self._pushed.pop(state_id, None)
-
-    def has_pushed(self, state_id: str) -> bool:
-        return state_id in self._pushed
+        self._current = None
 
     def assemble(self, state_id: str, m: int) -> np.ndarray:
         """Log-preference vector for one state: nominal 1s, pushed 2s, else 0."""
@@ -305,4 +320,16 @@ class PriorSet:
         return c
 
     def assemble_all(self, registry: StateRegistry) -> dict[str, np.ndarray]:
-        return {s.id: self.assemble(s.id, s.m) for s in registry}
+        """Every state's vector, as read-only arrays shared by all calls that
+        see the same nominal and pushed entries."""
+        current = self._current
+        if current is None or current[0] is not registry:
+            key = (registry, tuple(self._nominal.values()), tuple(self._pushed.items()))
+            assembled = self._assembled.get(key)
+            if assembled is None:
+                assembled = self._assembled[key] = {}
+                for s in registry:
+                    c = assembled[s.id] = self.assemble(s.id, s.m)
+                    c.flags.writeable = False
+            current = self._current = (registry, assembled)
+        return dict(current[1])

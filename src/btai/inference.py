@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -25,9 +26,10 @@ DEFAULT_HORIZON = 2
 #: how far a probability may stray from [0, 1], or a distribution's sum from 1
 PROB_TOL = 1e-9
 IDLE = "Idle"
-#: most entries each process-wide table holds: interned matrices, and the
-#: evidence entries, terms and G values of the term table together.  A full
-#: table is emptied before its next insert.
+#: most entries each process-wide table holds: interned matrices, transition
+#: maps and the candidate tuples of each, and the evidence entries, terms, G
+#: values and rows of the term table together.  A full table is emptied
+#: before its next insert.
 TABLE_CAP = 4096
 
 
@@ -278,7 +280,7 @@ class InferenceOutcome:
     expected_free_energy: np.ndarray
     # state id -> [policy][tau] belief vectors (read-only, shared with the
     # process-wide term table)
-    per_policy_beliefs: dict[str, list[list[np.ndarray]]]
+    per_policy_beliefs: dict[str, Sequence[list[np.ndarray]]]
     chosen_action: str = IDLE
 
     @cached_property
@@ -327,21 +329,46 @@ def _intern(mat) -> tuple:
     return entry
 
 
+# transition map content -> {candidate tuple: transition id of each
+# candidate}, shared by every state model with that content: each episode
+# compiles new state models, and they keep the ids earlier episodes found
+_TRANSITION_IDS: dict[tuple, dict[tuple[str, ...], tuple[int, ...]]] = {}
+
+
 class _StateModel:
     """Compiled static part of one state factor: the likelihood entry (id,
     A, log-A) and one transition entry (id, B, log-B) per acting action.
     Every action without an entry shares the identity entry (id, I, log-I)."""
 
-    __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions")
+    __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions",
+                 "ids")
 
     def __init__(self, likelihood: tuple, identity: tuple,
                  transitions: dict[str, tuple]):
         self.key, self.likelihood, self.log_likelihood = likelihood
         self.identity = identity
         self.transitions = transitions
+        self.ids: Optional[dict[tuple[str, ...], tuple[int, ...]]] = None
 
     def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
+
+    def transition_ids(self, actions: tuple[str, ...]) -> tuple[int, ...]:
+        """The transition id of each of ``actions``."""
+        if self.ids is None:
+            content = (self.identity[0], frozenset(
+                (name, entry[0]) for name, entry in self.transitions.items()))
+            self.ids = _TRANSITION_IDS.get(content)
+            if self.ids is None:
+                if len(_TRANSITION_IDS) >= TABLE_CAP:
+                    _TRANSITION_IDS.clear()
+                self.ids = _TRANSITION_IDS[content] = {}
+        ids = self.ids.get(actions)
+        if ids is None:
+            if len(self.ids) >= TABLE_CAP:
+                self.ids.clear()
+            ids = self.ids[actions] = tuple(self.transition(a)[0] for a in actions)
+        return ids
 
     def observation(self, index: Optional[int]) -> Optional[np.ndarray]:
         """The one-hot vector of observed value ``index`` (None for no
@@ -354,12 +381,13 @@ class _StateModel:
 
 class _Evidence:
     """Term-table entry for one (likelihood, prior belief, observation): the
-    current value, and per transition id the evaluated :class:`_Term`.
-    States with equal likelihoods share an entry, so the transition comes
-    from the asking state.  ``prior`` and ``observation`` are read-only
+    current value, per transition id the evaluated :class:`_Term`, and per
+    (transition ids of a candidate tuple, preferences C) one state's row of
+    a round.  States with equal likelihoods share an entry, so transitions
+    come from the asking state.  ``prior`` and ``observation`` are read-only
     private copies: the entry outlives the round that made it."""
 
-    __slots__ = ("prior", "observation", "current", "terms")
+    __slots__ = ("prior", "observation", "current", "terms", "rows")
 
     def __init__(self, state: _StateModel, prior, observation):
         self.prior = prior
@@ -370,6 +398,7 @@ class _Evidence:
             belief = softmax(safe_log(prior) + state.evidence(observation))
         self.current = int(np.argmax(belief))
         self.terms: dict[int, _Term] = {}
+        self.rows: dict[tuple, tuple] = {}
 
     def term(self, state: _StateModel, action: str) -> "_Term":
         key, b, _ = state.transition(action)
@@ -385,6 +414,27 @@ class _Evidence:
             f = variational_free_energy(beliefs, bs, a, self.prior, obs)
             term = self.terms[key] = _Term(a, beliefs, f)
         return term
+
+    def row(self, sid: str, state: _StateModel, actions: tuple[str, ...],
+            c: np.ndarray) -> tuple:
+        """State ``sid``'s part of a round over ``actions`` under preferences
+        ``c``: (F per candidate, G per candidate, beliefs per candidate,
+        whether ``c`` is already satisfied).  Keyed by transition ids, not
+        action names: two models may give one name different dynamics."""
+        c_key = c.tobytes()
+        key = (state.transition_ids(actions), c_key)
+        row = self.rows.get(key)
+        if row is None:
+            terms = [self.term(state, a) for a in actions]
+            satisfied = preferences_satisfied({sid: self.current}, {sid: c})
+            _TERMS.admit()
+            row = self.rows[key] = (
+                tuple(t.free_energy for t in terms),
+                tuple(t.expected_free_energy(c, c_key) for t in terms),
+                tuple(t.beliefs for t in terms),
+                satisfied,
+            )
+        return row
 
 
 class _Term:
@@ -412,12 +462,12 @@ class _TermTable:
     """The process-wide memo of evaluated terms: (likelihood id, prior belief
     bytes, observation bytes) -> :class:`_Evidence`.
 
-    ``size`` counts the evidence entries, terms and G values stored since the
-    table was last emptied, and the table is emptied before an insert that
-    would take ``size`` past :data:`TABLE_CAP`.  A round that holds an entry
-    across such a clear may still add terms to it; they count too, so
-    ``size`` never understates what the table holds.  The table takes no
-    lock: rounds run on one thread."""
+    ``size`` counts the evidence entries, terms, G values and rows stored
+    since the table was last emptied, and the table is emptied before an
+    insert that would take ``size`` past :data:`TABLE_CAP`.  A round that
+    holds an entry across such a clear may still add terms and rows to it;
+    they count too, so ``size`` never understates what the table holds.  The
+    table takes no lock: rounds run on one thread."""
 
     __slots__ = ("entries", "size")
 
@@ -466,11 +516,13 @@ class CompiledModel:
     Rounds on any model read and fill one process-wide term table.  A state
     enters its terms only through A: posterior beliefs and F depend on (A,
     B, prior belief, observation), and G on those plus the preferences C.
-    Every key is content: a matrix id, or the bytes of a vector.  So two
-    scenarios share a term exactly when its inputs are equal, whatever their
-    action names, and each distinct key is evaluated once, by the same math
-    functions an uncached round calls, and then read back.  Each table holds
-    at most :data:`TABLE_CAP` entries.
+    A state's row of a round (its F, G and beliefs for every candidate, and
+    whether C is satisfied) is kept per (A, prior belief, observation, the
+    candidates' B, C).  Every key is content: a matrix id, or the bytes of a
+    vector.  So two scenarios share a term exactly when its inputs are
+    equal, whatever their action names, and each distinct key is evaluated
+    once, by the same math functions an uncached round calls, and then read
+    back.  Each table holds at most :data:`TABLE_CAP` entries.
     """
 
     def __init__(self, likelihoods: Mapping[str, np.ndarray],
@@ -504,9 +556,9 @@ def run_active_inference(
     (D) and ``preferences`` (C) per state, or a mapping of self-contained
     :class:`Factor` objects, which is compiled on the spot.
 
-    Builds one one-step policy per candidate action, takes per-policy
-    beliefs, F and G per factor from the process-wide term table (summing F
-    and G across factors), forms the policy posterior and picks the action.
+    Builds one one-step policy per candidate action, takes each factor's row
+    of per-policy beliefs, F and G from the process-wide term table (summing
+    F and G across factors), forms the policy posterior and picks the action.
     When every preference is already satisfied :data:`IDLE` is returned
     outright: the exact expected-free-energy score would otherwise favour
     stochastic self-transitions over doing nothing.
@@ -515,35 +567,31 @@ def run_active_inference(
         raise NoPoliciesError("no candidate actions")
     if not isinstance(model, CompiledModel):
         model, beliefs, preferences = CompiledModel.from_factors(model)
-    policies = [(a,) for a in actions]
-    f_total = [0.0] * len(policies)
-    g_total = [0.0] * len(policies)
-    per_policy: dict[str, list[list[np.ndarray]]] = {}
-    current: dict[str, int] = {}
-    c_by_state: dict[str, np.ndarray] = {}
+    candidates = tuple(actions)
+    f_total = g_total = (0.0,) * len(candidates)
+    per_policy: dict[str, Sequence[list[np.ndarray]]] = {}
+    satisfied = True
 
+    # state by state in model order, then candidate by candidate: the order
+    # of an uncached round's additions, so the sums are bit-identical.  The
+    # sums stay lazy until the last state is in.
     for sid, state in model.states.items():
         evidence = _TERMS.evidence(state, beliefs[sid], observations.get(sid))
-        c = c_by_state[sid] = np.asarray(preferences[sid], dtype=float)
-        c_key = c.tobytes()
-        current[sid] = evidence.current
-        rows = per_policy[sid] = []
-        for p, action in enumerate(actions):
-            term = evidence.term(state, action)
-            f_total[p] += term.free_energy
-            g_total[p] += term.expected_free_energy(c, c_key)
-            rows.append(term.beliefs)
+        f_row, g_row, per_policy[sid], state_satisfied = evidence.row(
+            sid, state, candidates, np.asarray(preferences[sid], dtype=float))
+        f_total = map(add, f_total, f_row)
+        g_total = map(add, g_total, g_row)
+        satisfied = satisfied and state_satisfied
 
-    pi = policy_posterior(f_total, g_total)
-    if preferences_satisfied(current, c_by_state):
-        chosen = IDLE
-    else:
-        chosen = select_action(pi, policies)
+    policies = [(a,) for a in candidates]
+    f, g = np.array(list(f_total)), np.array(list(g_total))
+    pi = policy_posterior(f, g)
+    chosen = IDLE if satisfied else select_action(pi, policies)
     return InferenceOutcome(
         policies=policies,
         policy_probs=pi,
-        free_energy=np.array(f_total),
-        expected_free_energy=np.array(g_total),
+        free_energy=f,
+        expected_free_energy=g,
         per_policy_beliefs=per_policy,
         chosen_action=chosen,
     )

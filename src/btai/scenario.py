@@ -24,6 +24,7 @@ from .domain import (
     StateVar,
     achieve_matrix,
     strict_bool,
+    strict_float,
     strict_int,
 )
 from .inference import IDLE
@@ -108,14 +109,18 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
         if sid not in transitions:
             raise ScenarioError(
                 source, f"action {name}: transition for {sid!r} has no postcondition")
+    parameters = raw.get("parameters", [])
+    if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
+        raise ScenarioError(
+            source, f"action {name}: parameters must be a list of strings, got {parameters!r}")
     action = ActionTemplate(
         name=name,
-        parameters=tuple(raw.get("parameters", [])),
+        parameters=tuple(parameters),
         preconditions=pre,
         postconditions=tuple(post),
         transitions=transitions,
         duration_ticks=strict_int(raw.get("duration", 3), f"action {name}: duration"),
-        success_prob=(float(raw["success_prob"])
+        success_prob=(strict_float(raw["success_prob"], f"action {name}: success_prob")
                       if "success_prob" in raw else None),
     )
     try:
@@ -208,10 +213,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         perturbations.append(PerturbationEvent(at_tick, tuple(assignments),
                                                tuple(obs_changes)))
 
-    try:
-        noise_p = float(world.get("noise_p", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(source, "world.noise_p must be a number") from exc
+    noise_p = strict_float(world.get("noise_p", 0.0), "world.noise_p")
     if not 0.0 <= noise_p <= 1.0:
         raise ScenarioError(source, f"world.noise_p must lie in [0, 1] (got {noise_p})")
 

@@ -53,9 +53,10 @@ def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
     term of the expected free energy would still reward its noisy dynamics."""
     if not action.postconditions:
         return True  # Idle and other pure no-ops stay available
-    return not all(
-        holds(Predicate(sid, idx), logical) for sid, idx in action.postconditions
-    )
+    for sid, idx in action.postconditions:
+        if logical[sid] != idx:
+            return True
+    return False
 
 
 def adaptive_select(
@@ -87,11 +88,12 @@ def adaptive_select(
     by_name = {a.name: a for a in actions}
     obs_vectors = {sid: model.states[sid].observation(index)
                    for sid, index in observations.items()}
+    # the logical state is fixed for the call, and with it the viable set
+    viable = [a.name for a in actions if _viable(a, logical)]
     excluded: set[str] = set()
 
     while True:
-        candidates = [a.name for a in actions
-                      if a.name not in excluded and _viable(a, logical)]
+        candidates = [name for name in viable if name not in excluded]
         preferences = priors.assemble_all(registry)
         outcome = run_active_inference(model, candidates, obs_vectors, beliefs,
                                        preferences)

@@ -51,12 +51,12 @@ class World:
         self.registry = registry
         self.fluents: dict[str, int] = {}
         for state in registry:
-            idx = int(fluents[state.id])
+            idx = fluents[state.id]
             if not 0 <= idx < state.m:
                 raise ValueError(f"fluent {state.id}: index {idx} out of range")
             self.fluents[state.id] = idx
-        self.observable = {s.id: bool(observable.get(s.id, True)) for s in registry}
-        self.noise_p = float(noise_p)
+        self.observable = {s.id: observable.get(s.id, True) for s in registry}
+        self.noise_p = noise_p
         self.deterministic = deterministic
         self.rng = np.random.default_rng(seed)
         self.tick = 0

@@ -125,6 +125,52 @@ def test_models_with_equal_action_names_keep_their_own_terms():
     assert len(set(outcomes)) == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(2, 10))
+def test_rows_follow_candidate_order_and_pushes(seed, rounds):
+    rng = np.random.default_rng(seed)
+    # two-valued states with identity likelihoods and uniform beliefs share
+    # evidence entries wherever their observations agree, while their
+    # transitions differ under the same action names
+    factors, actions, observations = random_model(rng, max_m=2, max_factors=4)
+    likelihoods, transitions = _split(factors)
+    model, _, c = CompiledModel.from_factors(factors)
+    d = {sid: np.full(2, 0.5) for sid in factors}
+    candidates = list(actions)
+    for _ in range(rounds):
+        k = int(rng.integers(1, len(actions) + 1))
+        candidates = [str(u) for u in rng.permutation(actions)[:k]]
+        if rng.random() < 0.5:
+            # a push: one state's C gets the pushed value at one index
+            sid = list(factors)[int(rng.integers(len(factors)))]
+            pushed = np.array(c[sid], dtype=float)
+            pushed[int(rng.integers(2))] = 2.0
+            c = {**c, sid: pushed}
+        out = run_active_inference(model, candidates, observations, d, c)
+        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+                                      candidates, observations)
+
+
+def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
+    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    rng = np.random.default_rng(5)
+    # same A, belief, observation and C, so one evidence entry; the same
+    # action name moves each state differently
+    likelihoods = {"s": np.eye(2), "t": np.eye(2)}
+    transitions = {"s": {"act": random_stochastic(rng, 2)},
+                   "t": {"act": random_stochastic(rng, 2)}}
+    d = {"s": np.array([0.3, 0.7]), "t": np.array([0.3, 0.7])}
+    o = {"s": np.array([1.0, 0.0]), "t": np.array([1.0, 0.0])}
+    c = {"s": np.array([0.0, 1.0]), "t": np.array([0.0, 1.0])}
+    model = CompiledModel(likelihoods, transitions)
+    for candidates in (["Idle", "act"], ["act", "Idle"], ["act"]):
+        out = run_active_inference(model, candidates, o, d, c)
+        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+                                      candidates, o)
+    (entry,) = inference._TERMS.entries.values()
+    assert len(entry.rows) == 6
+
+
 def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
     monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
     checked = 0
@@ -154,9 +200,9 @@ def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
 
 
 def _table_size(table) -> int:
-    """Evidence entries, terms and G values the term table holds."""
+    """Evidence entries, terms, G values and rows the term table holds."""
     return sum(1 + len(e.terms) + sum(len(t.expected) for t in e.terms.values())
-               for e in table.entries.values())
+               + len(e.rows) for e in table.entries.values())
 
 
 def test_tables_stay_within_their_cap(monkeypatch):
@@ -164,6 +210,7 @@ def test_tables_stay_within_their_cap(monkeypatch):
     monkeypatch.setattr(inference, "TABLE_CAP", cap)
     monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
     monkeypatch.setattr(inference, "_MATRICES", {})
+    monkeypatch.setattr(inference, "_TRANSITION_IDS", {})
     admitted = []
     admit = inference._TermTable.admit
 
@@ -192,6 +239,7 @@ def test_tables_stay_within_their_cap(monkeypatch):
                                           candidates, observations)
             assert _table_size(inference._TERMS) <= inference._TERMS.size <= cap
             assert len(inference._MATRICES) <= cap
+            assert len(inference._TRANSITION_IDS) <= cap
     assert len(admitted) > 5 * cap
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from btai.domain import (
     achieve_matrix,
     holds,
     logical_state,
+    strict_float,
     update_beliefs,
 )
 from btai.selector import compile_model
@@ -203,7 +206,7 @@ class TestPriorSet:
         priors = PriorSet()
         priors.push(Predicate("g", 0))
         priors.remove_pushed("g")
-        assert not priors.has_pushed("g")
+        assert priors.pushed_predicates() == []
         assert priors.assemble("g", 2) == pytest.approx([0.0, 0.0])
 
     def test_assemble_idempotent_and_order_independent(self):
@@ -217,10 +220,57 @@ class TestPriorSet:
             assert a.assemble(sid, 2) == pytest.approx(b.assemble(sid, 2))
             assert a.assemble(sid, 2) == pytest.approx(a.assemble(sid, 2))
 
-    def test_clear_nominal_scoped_by_key(self):
+
+class TestAssembleAll:
+    @staticmethod
+    def registry():
+        return StateRegistry([StateVar("g", 2, ("a", "b")),
+                              StateVar("h", 3, ("a", "b", "c"))])
+
+    def test_read_only_and_shared_between_calls(self):
+        registry = self.registry()
+        priors = PriorSet()
+        priors.set_nominal("n", [("g", 0)])
+        first = priors.assemble_all(registry)
+        second = priors.assemble_all(registry)
+        assert list(first) == ["g", "h"]
+        for sid, c in first.items():
+            assert c is second[sid]
+            assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            first["g"][1] = 5.0
+
+    def test_every_change_shows_in_the_next_assembly(self):
+        registry = self.registry()
         priors = PriorSet()
         priors.set_nominal("n1", [("g", 0)])
-        priors.set_nominal("n2", [("h", 1)])
-        priors.clear_nominal("n1")
-        assert priors.assemble("g", 2) == pytest.approx([0.0, 0.0])
-        assert priors.assemble("h", 2) == pytest.approx([0.0, 1.0])
+        first = priors.assemble_all(registry)
+        changes = [
+            lambda: priors.push(Predicate("h", 2)),
+            lambda: priors.remove_pushed("h"),
+            lambda: priors.set_nominal("n2", [("h", 1)]),
+            lambda: priors.clear_nominal(),
+            lambda: priors.set_nominal("n1", [("g", 0)]),
+        ]
+        previous = first
+        for change in changes:
+            change()
+            out = priors.assemble_all(registry)
+            assert {sid: c.tolist() for sid, c in out.items()} != {
+                sid: c.tolist() for sid, c in previous.items()}
+            for s in registry:
+                assert np.array_equal(out[s.id], priors.assemble(s.id, s.m))
+            previous = out
+        # the same content again: the vectors assembled first
+        assert all(previous[sid] is first[sid] for sid in first)
+
+
+def test_strict_float():
+    assert strict_float(1, "x") == 1.0 and isinstance(strict_float(1, "x"), float)
+    assert strict_float(0.25, "x") == 0.25
+    for bad in (True, "0.5", None, [0.5]):
+        with pytest.raises(TypeError):
+            strict_float(bad, "x")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            strict_float(bad, "x")

@@ -241,6 +241,18 @@ MALFORMED = {
                                       [{"at_tick": 2, "set": {"isAt": True}}]),
     "perturbation-observable-a-string": _set(
         ("perturbations",), [{"at_tick": 2, "observable": {"isAt": "off"}}]),
+    # numbers are finite ints or floats: neither a bool nor a numeric string
+    "noise-p-a-bool": _set(("world", "noise_p"), True),
+    "noise-p-a-string": _set(("world", "noise_p"), "0.5"),
+    "noise-p-nan": _set(("world", "noise_p"), math.nan),
+    "noise-p-infinite": _set(("world", "noise_p"), math.inf),
+    "success-prob-a-bool": _set(("actions", 1, "success_prob"), True),
+    "success-prob-a-string": _set(("actions", 1, "success_prob"), "0.9"),
+    "success-prob-infinite": _set(("actions", 1, "success_prob"), -math.inf),
+    # parameters are a list of strings
+    "parameters-a-string": _set(("actions", 1, "parameters"), "shelf"),
+    "parameters-a-mapping": _set(("actions", 1, "parameters"), {"shelf": 1}),
+    "parameters-item-not-a-string": _set(("actions", 1, "parameters"), ["shelf", 2]),
 }
 
 

@@ -108,7 +108,7 @@ class TestAdaptiveSelect:
         verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
                                   compile_model(registry, actions))
         assert Predicate("isReachable", 0) in verdict.removed_pushed
-        assert not priors.has_pushed("isReachable")
+        assert priors.pushed_predicates() == []
         # with the precondition met, Pick itself is selected
         assert verdict.action.name == "Pick"
 
