@@ -10,7 +10,8 @@ deterministic.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Optional
+from typing import Sequence as SequenceOf  # "Sequence" names the node below
 
 from .domain import Predicate, strict_int
 
@@ -28,17 +29,13 @@ class TreeError(ValueError):
 class BTNode:
     kind = "node"
 
-    def __init__(self, children: Sequence["BTNode"] = ()):
+    def __init__(self, children: SequenceOf[BTNode] = ()):
         self.children = list(children)
         self.node_id: int = -1   # assigned by assign_ids
         self.label: str = self.kind
 
     def tick(self, ctx) -> TickStatus:
         raise NotImplementedError
-
-    def reset(self):
-        for child in self.children:
-            child.reset()
 
 
 class Fallback(BTNode):
@@ -73,10 +70,6 @@ class Sequence(BTNode):
         super().__init__(children)
         self.label = "→"
         self._resume_at = 0
-
-    def reset(self):
-        self._resume_at = 0
-        super().reset()
 
     def tick(self, ctx) -> TickStatus:
         ctx.visit(self)
@@ -151,7 +144,7 @@ class Prior(BTNode):
 
     kind = "prior"
 
-    def __init__(self, targets: Sequence[tuple[str, int]]):
+    def __init__(self, targets: SequenceOf[tuple[str, int]]):
         if not targets:
             raise TreeError("prior node needs at least one target")
         super().__init__()

@@ -116,7 +116,6 @@ class ActionTemplate:
     """
 
     name: str
-    parameters: tuple[str, ...] = ()
     preconditions: tuple[Predicate, ...] = ()
     postconditions: tuple[tuple[str, int], ...] = ()
     transitions: Mapping[str, np.ndarray] = field(default_factory=dict)
@@ -141,12 +140,6 @@ class ActionTemplate:
             return self.success_prob
         probs = [float(np.max(b)) for b in self.transitions.values()]
         return min(probs) if probs else 1.0
-
-    def post_index(self, state_id: str) -> Optional[int]:
-        for sid, idx in self.postconditions:
-            if sid == state_id:
-                return idx
-        return None
 
 
 class StateRegistry:

@@ -26,10 +26,9 @@ DEFAULT_HORIZON = 2
 #: how far a probability may stray from [0, 1], or a distribution's sum from 1
 PROB_TOL = 1e-9
 IDLE = "Idle"
-#: most entries each process-wide table holds: interned matrices, transition
-#: maps and the candidate tuples of each, and the evidence entries, terms, G
-#: values and rows of the term table together.  A full table is emptied
-#: before its next insert.
+#: most entries each process-wide table holds: interned matrices, and the
+#: evidence entries, terms, G values and rows of the term table together.  A
+#: full table is emptied before its next insert.
 TABLE_CAP = 4096
 
 
@@ -127,50 +126,48 @@ def update_posterior_states(
     prior: np.ndarray,
     observations: Sequence[Optional[np.ndarray]],
 ) -> list[np.ndarray]:
-    """Policy-conditioned posterior beliefs s_tau for tau = 1..horizon, where
-    the horizon is :data:`DEFAULT_HORIZON`.
+    """Policy-conditioned posterior beliefs [s_1, s_2] of a one-step policy
+    over the two-step horizon :data:`DEFAULT_HORIZON`.
 
-    ``transitions`` holds the policy's per-step transition matrices (length
-    horizon - 1) and ``observations`` the available one-hot outcomes (None
-    for future steps).  Each belief is the softmax of the forward message
-    (log-transition applied to the previous belief; the log prior at tau=1),
-    the backward message (transposed log-transition applied to the next
-    belief) and the observation evidence, swept until the maximum absolute
-    change drops below 1e-6 or 10 iterations elapse.
+    ``transitions`` holds the policy's one transition matrix B and
+    ``observations`` the available one-hot outcomes of the two steps (None,
+    or left out, where there is none).  s_1 is the softmax of the log prior,
+    the backward message log(B).T @ s_2 and the observation evidence; s_2
+    the softmax of the forward message log(B) @ s_1 and its evidence.  Both
+    are swept in that order until the maximum absolute change drops below
+    1e-6 or 10 iterations elapse.
     """
-    horizon = DEFAULT_HORIZON
-    if len(transitions) != horizon - 1:
+    if len(transitions) != DEFAULT_HORIZON - 1:
         raise ModelError("need one transition matrix per policy step")
-    if len(observations) > horizon:
+    if len(observations) > DEFAULT_HORIZON:
         raise ModelError("more observations than time steps")
     a = np.asarray(likelihood, dtype=float)
     d = check_categorical(prior, "prior belief")
     m = d.shape[0]
     if a.shape != (m, m):
         raise ModelError("likelihood shape does not match state size")
-    obs = [None] * horizon
-    for t, o in enumerate(observations):
-        obs[t] = _check_observation(o, m)
+    o0, o1 = [_check_observation(o, m) for o in observations] + [None] * (
+        DEFAULT_HORIZON - len(observations))
 
     log_a = safe_log(a)
-    log_bs = [safe_log(b) for b in transitions]
+    log_b = safe_log(transitions[0])
     log_d = safe_log(d)
 
-    beliefs = [np.full(m, 1.0 / m) for _ in range(horizon)]
+    s0 = s1 = np.full(m, 1.0 / m)
     for _ in range(MAX_SWEEPS):
-        delta = 0.0
-        for t in range(horizon):
-            v = log_d.copy() if t == 0 else log_bs[t - 1] @ beliefs[t - 1]
-            if t < horizon - 1:
-                v = v + log_bs[t].T @ beliefs[t + 1]
-            if obs[t] is not None:
-                v = v + log_a.T @ obs[t]
-            new = softmax(v)
-            delta = max(delta, float(np.max(np.abs(new - beliefs[t]))))
-            beliefs[t] = new
+        v = log_d + log_b.T @ s1
+        if o0 is not None:
+            v = v + log_a.T @ o0
+        new0 = softmax(v)
+        v = log_b @ new0
+        if o1 is not None:
+            v = v + log_a.T @ o1
+        new1 = softmax(v)
+        delta = max(float(np.max(np.abs(new0 - s0))), float(np.max(np.abs(new1 - s1))))
+        s0, s1 = new0, new1
         if delta < SWEEP_TOL:
             break
-    return beliefs
+    return [s0, s1]
 
 
 def variational_free_energy(
@@ -250,31 +247,20 @@ def bayesian_model_average(policy_probs, per_policy_beliefs) -> np.ndarray:
     return pi @ stacked
 
 
-def select_action(policy_probs, policies: Sequence[Sequence[str]]) -> str:
-    """First-step action of the most likely policy.
-
-    Policies sharing a first action pool their probability mass; exact ties
-    go to the action that appears first in the policy list.
-    """
+def select_action(policy_probs, candidates: Sequence[str]) -> str:
+    """The candidate whose one-step policy is the most likely; an exact tie
+    goes to the candidate listed first."""
     pi = np.asarray(policy_probs, dtype=float)
-    if pi.size == 0 or len(policies) != pi.size:
-        raise NoPoliciesError("need one probability per policy")
-    scores: dict[str, float] = {}
-    for p, policy in zip(pi, policies):
-        u = policy[0]
-        scores[u] = scores.get(u, 0.0) + float(p)
-    best = None
-    for u, score in scores.items():  # insertion order = declaration order
-        if best is None or score > scores[best]:
-            best = u
-    return best
+    if pi.size == 0 or len(candidates) != pi.size:
+        raise NoPoliciesError("need one probability per candidate")
+    return candidates[int(np.argmax(pi))]
 
 
 @dataclass
 class InferenceOutcome:
-    """Everything one action-selection round produced."""
+    """Everything one action-selection round produced; policy ``p`` is the
+    one-step policy of the round's candidate ``p``."""
 
-    policies: list[tuple[str, ...]]
     policy_probs: np.ndarray
     free_energy: np.ndarray
     expected_free_energy: np.ndarray
@@ -293,15 +279,10 @@ class InferenceOutcome:
         }
 
 
-def preferences_satisfied(current: Mapping[str, int],
-                          preferences: Mapping[str, np.ndarray]) -> bool:
-    """True when the current most likely value of every state is already a
-    maximally preferred one, i.e. no action can reduce expected cost."""
-    for sid, index in current.items():
-        c = preferences[sid]
-        if c[index] < c.max() - 1e-12:
-            return False
-    return True
+def preferences_satisfied(index: int, preferences: np.ndarray) -> bool:
+    """True when a state's most likely value ``index`` is already a maximally
+    preferred one, i.e. no action can reduce that state's expected cost."""
+    return not preferences[index] < preferences.max() - 1e-12
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -329,46 +310,33 @@ def _intern(mat) -> tuple:
     return entry
 
 
-# transition map content -> {candidate tuple: transition id of each
-# candidate}, shared by every state model with that content: each episode
-# compiles new state models, and they keep the ids earlier episodes found
-_TRANSITION_IDS: dict[tuple, dict[tuple[str, ...], tuple[int, ...]]] = {}
-
-
 class _StateModel:
     """Compiled static part of one state factor: the likelihood entry (id,
     A, log-A) and one transition entry (id, B, log-B) per acting action.
     Every action without an entry shares the identity entry (id, I, log-I)."""
 
     __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions",
-                 "ids")
+                 "_dynamics")
 
     def __init__(self, likelihood: tuple, identity: tuple,
                  transitions: dict[str, tuple]):
         self.key, self.likelihood, self.log_likelihood = likelihood
         self.identity = identity
         self.transitions = transitions
-        self.ids: Optional[dict[tuple[str, ...], tuple[int, ...]]] = None
+        self._dynamics: Optional[tuple] = None
 
     def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
 
-    def transition_ids(self, actions: tuple[str, ...]) -> tuple[int, ...]:
-        """The transition id of each of ``actions``."""
-        if self.ids is None:
-            content = (self.identity[0], frozenset(
+    @property
+    def dynamics(self) -> tuple:
+        """(identity id, frozenset of (action name, transition id)): equal
+        exactly when two state models move the state alike under every
+        action name.  Built on first use, since only rounds read it."""
+        if self._dynamics is None:
+            self._dynamics = (self.identity[0], frozenset(
                 (name, entry[0]) for name, entry in self.transitions.items()))
-            self.ids = _TRANSITION_IDS.get(content)
-            if self.ids is None:
-                if len(_TRANSITION_IDS) >= TABLE_CAP:
-                    _TRANSITION_IDS.clear()
-                self.ids = _TRANSITION_IDS[content] = {}
-        ids = self.ids.get(actions)
-        if ids is None:
-            if len(self.ids) >= TABLE_CAP:
-                self.ids.clear()
-            ids = self.ids[actions] = tuple(self.transition(a)[0] for a in actions)
-        return ids
+        return self._dynamics
 
     def observation(self, index: Optional[int]) -> Optional[np.ndarray]:
         """The one-hot vector of observed value ``index`` (None for no
@@ -382,8 +350,8 @@ class _StateModel:
 class _Evidence:
     """Term-table entry for one (likelihood, prior belief, observation): the
     current value, per transition id the evaluated :class:`_Term`, and per
-    (transition ids of a candidate tuple, preferences C) one state's row of
-    a round.  States with equal likelihoods share an entry, so transitions
+    (state dynamics, candidate tuple, preferences C) one state's row of a
+    round.  States with equal likelihoods share an entry, so transitions
     come from the asking state.  ``prior`` and ``observation`` are read-only
     private copies: the entry outlives the round that made it."""
 
@@ -406,8 +374,8 @@ class _Evidence:
         if term is None:
             _TERMS.admit()
             a = state.likelihood
-            bs = [b] * (DEFAULT_HORIZON - 1)
-            obs = [self.observation] + [None] * (DEFAULT_HORIZON - 1)
+            bs = [b]
+            obs = [self.observation, None]
             beliefs = update_posterior_states(bs, a, self.prior, obs)
             for belief in beliefs:
                 belief.flags.writeable = False
@@ -415,18 +383,19 @@ class _Evidence:
             term = self.terms[key] = _Term(a, beliefs, f)
         return term
 
-    def row(self, sid: str, state: _StateModel, actions: tuple[str, ...],
+    def row(self, state: _StateModel, actions: tuple[str, ...],
             c: np.ndarray) -> tuple:
-        """State ``sid``'s part of a round over ``actions`` under preferences
+        """The state's part of a round over ``actions`` under preferences
         ``c``: (F per candidate, G per candidate, beliefs per candidate,
-        whether ``c`` is already satisfied).  Keyed by transition ids, not
-        action names: two models may give one name different dynamics."""
+        whether ``c`` is already satisfied).  Keyed by the state's dynamics
+        with the names, not the names alone: two models may give one name
+        different dynamics."""
         c_key = c.tobytes()
-        key = (state.transition_ids(actions), c_key)
+        key = (state.dynamics, actions, c_key)
         row = self.rows.get(key)
         if row is None:
             terms = [self.term(state, a) for a in actions]
-            satisfied = preferences_satisfied({sid: self.current}, {sid: c})
+            satisfied = preferences_satisfied(self.current, c)
             _TERMS.admit()
             row = self.rows[key] = (
                 tuple(t.free_energy for t in terms),
@@ -518,11 +487,13 @@ class CompiledModel:
     B, prior belief, observation), and G on those plus the preferences C.
     A state's row of a round (its F, G and beliefs for every candidate, and
     whether C is satisfied) is kept per (A, prior belief, observation, the
-    candidates' B, C).  Every key is content: a matrix id, or the bytes of a
-    vector.  So two scenarios share a term exactly when its inputs are
-    equal, whatever their action names, and each distinct key is evaluated
-    once, by the same math functions an uncached round calls, and then read
-    back.  Each table holds at most :data:`TABLE_CAP` entries.
+    state's B per action name, the candidate names, C).  Every key is
+    content: a matrix id, a name, or the bytes of a vector.  So two
+    scenarios share a term exactly when its inputs are equal, whatever their
+    action names, and share a row when their dynamics are equal too.  Each
+    distinct key is evaluated once, by the same math functions an uncached
+    round calls, and then read back.  Each table holds at most
+    :data:`TABLE_CAP` entries.
     """
 
     def __init__(self, likelihoods: Mapping[str, np.ndarray],
@@ -578,17 +549,15 @@ def run_active_inference(
     for sid, state in model.states.items():
         evidence = _TERMS.evidence(state, beliefs[sid], observations.get(sid))
         f_row, g_row, per_policy[sid], state_satisfied = evidence.row(
-            sid, state, candidates, np.asarray(preferences[sid], dtype=float))
+            state, candidates, np.asarray(preferences[sid], dtype=float))
         f_total = map(add, f_total, f_row)
         g_total = map(add, g_total, g_row)
         satisfied = satisfied and state_satisfied
 
-    policies = [(a,) for a in candidates]
     f, g = np.array(list(f_total)), np.array(list(g_total))
     pi = policy_posterior(f, g)
-    chosen = IDLE if satisfied else select_action(pi, policies)
+    chosen = IDLE if satisfied else select_action(pi, candidates)
     return InferenceOutcome(
-        policies=policies,
         policy_probs=pi,
         free_energy=f,
         expected_free_energy=g,

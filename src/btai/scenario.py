@@ -2,8 +2,7 @@
 behavior tree, the initial world and an optional perturbation schedule.
 
 Parsing validates every cross-reference and reports the file and the
-offending reference; serialization is the exact inverse so scenarios
-round-trip."""
+offending reference."""
 
 from __future__ import annotations
 
@@ -109,13 +108,14 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
         if sid not in transitions:
             raise ScenarioError(
                 source, f"action {name}: transition for {sid!r} has no postcondition")
+    # parameters name what a grounded action acts on; the planner reads
+    # only the grounded name, but a malformed list is still an error
     parameters = raw.get("parameters", [])
     if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
         raise ScenarioError(
             source, f"action {name}: parameters must be a list of strings, got {parameters!r}")
     action = ActionTemplate(
         name=name,
-        parameters=tuple(parameters),
         preconditions=pre,
         postconditions=tuple(post),
         transitions=transitions,
@@ -259,53 +259,6 @@ def parse_scenario(path) -> Scenario:
     except yaml.YAMLError as exc:
         raise ScenarioError(str(path), f"YAML parse error: {exc}") from exc
     return scenario_from_dict(data, source=str(path))
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    def pred(p: Predicate):
-        return {"state": p.state_id, "index": p.required_index}
-
-    return {
-        "format": FORMAT_VERSION,
-        "name": sc.name,
-        "states": [{"id": s.id, "values": list(s.value_labels)} for s in sc.states],
-        "actions": [
-            {
-                "name": a.name,
-                **({"parameters": list(a.parameters)} if a.parameters else {}),
-                **({"pre": [pred(p) for p in a.preconditions]} if a.preconditions else {}),
-                **({"post": [{"state": sid, "index": idx}
-                             for sid, idx in a.postconditions]} if a.postconditions else {}),
-                "transitions": {sid: [[float(x) for x in row] for row in b]
-                                for sid, b in a.transitions.items()},
-                "duration": a.duration_ticks,
-                **({"success_prob": a.success_prob}
-                   if a.success_prob is not None else {}),
-            }
-            for a in sc.actions
-        ],
-        "bt": sc.bt_spec,
-        "world": {
-            "fluents": dict(sc.fluents),
-            "observable": dict(sc.observable),
-            "noise_p": sc.noise_p,
-        },
-        "perturbations": [
-            {
-                "at_tick": e.at_tick,
-                "set": {sid: idx for sid, idx in e.assignments},
-                "observable": {sid: flag for sid, flag in e.observability_changes},
-            }
-            for e in sc.perturbations
-        ],
-        "budget_ticks": sc.budget_ticks,
-        "deterministic": sc.deterministic,
-        "seed": sc.seed,
-    }
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(sc), sort_keys=False)
 
 
 def shipped_scenario_path(name: str) -> Path:

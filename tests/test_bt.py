@@ -1,3 +1,6 @@
+import collections.abc
+import typing
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,16 @@ class TestCondition:
         cond = Condition(Predicate("isAt", 1))
         for truths in ((), {("isAt", 1)}):
             assert cond.tick(StubCtx(truths)) in (S, F)
+
+
+def test_constructor_annotations_resolve():
+    # the Sequence node class must not hide typing's Sequence from them
+    children = typing.get_type_hints(BTNode.__init__)["children"]
+    targets = typing.get_type_hints(Prior.__init__)["targets"]
+    assert typing.get_origin(children) is collections.abc.Sequence
+    assert typing.get_origin(targets) is collections.abc.Sequence
+    assert typing.get_args(children) == (BTNode,)
+    assert typing.get_args(targets) == (tuple[str, int],)
 
 
 class TestBuildTree:

@@ -58,7 +58,7 @@ def uncached_round(likelihoods, transitions, beliefs, preferences, actions,
         if c[int(np.argmax(belief))] < c.max() - 1e-12:
             satisfied = False
     pi = policy_posterior(f, g)
-    chosen = "Idle" if satisfied else select_action(pi, [(u,) for u in actions])
+    chosen = "Idle" if satisfied else select_action(pi, actions)
     return f, g, pi, chosen
 
 
@@ -171,6 +171,27 @@ def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
     assert len(entry.rows) == 6
 
 
+def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
+    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        factors, actions, observations = random_model(rng, identity_likelihood=False)
+        model, beliefs, c = CompiledModel.from_factors(factors)
+        first = run_active_inference(model, actions, observations, beliefs, c)
+        size = inference._TERMS.size
+        # each episode compiles its own model; copies of every array make
+        # sure that only content links the two
+        copies = {sid: Factor(f.likelihood.copy(),
+                              {name: b.copy() for name, b in f.transitions.items()},
+                              f.prior.copy(), f.preferences.copy())
+                  for sid, f in factors.items()}
+        fresh, beliefs, c = CompiledModel.from_factors(copies)
+        again = run_active_inference(fresh, actions, observations, beliefs, c)
+        assert inference._TERMS.size == size
+        assert np.array_equal(again.policy_probs, first.policy_probs)
+        assert again.chosen_action == first.chosen_action
+
+
 def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
     monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
     checked = 0
@@ -210,7 +231,6 @@ def test_tables_stay_within_their_cap(monkeypatch):
     monkeypatch.setattr(inference, "TABLE_CAP", cap)
     monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
     monkeypatch.setattr(inference, "_MATRICES", {})
-    monkeypatch.setattr(inference, "_TRANSITION_IDS", {})
     admitted = []
     admit = inference._TermTable.admit
 
@@ -239,7 +259,6 @@ def test_tables_stay_within_their_cap(monkeypatch):
                                           candidates, observations)
             assert _table_size(inference._TERMS) <= inference._TERMS.size <= cap
             assert len(inference._MATRICES) <= cap
-            assert len(inference._TRANSITION_IDS) <= cap
     assert len(admitted) > 5 * cap
 
 

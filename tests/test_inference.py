@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
-from modelgen import factors_to_oracle, obs_to_oracle, random_model
+from modelgen import (
+    factors_to_oracle,
+    obs_to_oracle,
+    random_categorical,
+    random_model,
+    random_stochastic,
+)
 from btai.inference import (
     EPS,
     Factor,
@@ -120,6 +127,29 @@ class TestUpdatePosteriorStates:
             update_posterior_states([], I2, [0.5, 0.5], [[1.0, 0.0]])
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 4),
+       kinds=st.tuples(*[st.sampled_from([None, "one-hot", "soft"])] * 2),
+       short=st.booleans())
+def test_sweep_matches_oracle_with_both_observation_slots(seed, m, kinds, short):
+    rng = np.random.default_rng(seed)
+    a, b, d = random_stochastic(rng, m), random_stochastic(rng, m), random_categorical(rng, m)
+    obs = [None if kind is None
+           else np.eye(m)[rng.integers(m)] if kind == "one-hot"
+           else random_categorical(rng, m) for kind in kinds]
+    if short and obs[1] is None:
+        obs = obs[:1]  # a missing last observation counts as None
+    s = update_posterior_states([b], a, d, obs)
+    f = variational_free_energy(s, [b], a, d, obs)
+    bs_o, a_o, d_o = [b.tolist()], a.tolist(), d.tolist()
+    obs_o = [None if o is None else o.tolist() for o in obs]
+    s_o = oracle.posterior_states(bs_o, a_o, d_o, obs_o)
+    assert len(s) == len(s_o) == 2
+    for got, want in zip(s, s_o):
+        assert got == pytest.approx(want, abs=1e-9)
+    assert f == pytest.approx(oracle.free_energy(s_o, bs_o, a_o, d_o, obs_o), abs=1e-9)
+
+
 class TestFreeEnergy:
     def test_perfect_fit_near_zero(self):
         delta = [1.0, 0.0]
@@ -193,14 +223,18 @@ class TestBayesianModelAverage:
 
 class TestSelectAction:
     def test_argmax(self):
-        assert select_action([0.7, 0.3], [("moveTo",), ("Idle",)]) == "moveTo"
+        assert select_action([0.3, 0.7], ["Idle", "moveTo"]) == "moveTo"
 
-    def test_pooled_tie_goes_to_first_declared(self):
-        assert select_action([0.25, 0.25, 0.5],
-                             [("a1",), ("a1",), ("a2",)]) == "a1"
+    def test_tie_goes_to_first_listed(self):
+        assert select_action([0.25, 0.375, 0.375], ["a1", "a2", "a3"]) == "a2"
+        assert select_action([0.375, 0.375, 0.25], ["a3", "a2", "a1"]) == "a3"
 
     def test_single(self):
-        assert select_action([1.0], [("Idle",)]) == "Idle"
+        assert select_action([1.0], ["Idle"]) == "Idle"
+
+    def test_one_probability_per_candidate(self):
+        with pytest.raises(NoPoliciesError):
+            select_action([0.5, 0.5], ["Idle"])
 
 
 def example1_factor(preferences=(1.0, 0.0), prior=(0.5, 0.5)):
@@ -235,7 +269,7 @@ class TestRunActiveInference:
             recomputed = bayesian_model_average(
                 out.policy_probs,
                 [out.per_policy_beliefs["g"][p][t]
-                 for p in range(len(out.policies))])
+                 for p in range(len(out.policy_probs))])
             assert avg == pytest.approx(recomputed, abs=1e-9)
 
     def test_averaged_beliefs_computed_on_first_use(self, monkeypatch):

@@ -10,8 +10,6 @@ from btai.scenario import (
     ScenarioError,
     parse_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    serialize_scenario,
     shipped_scenario_path,
 )
 
@@ -50,15 +48,6 @@ class TestShippedScenarios:
     def test_classic_tree_is_27_nodes(self):
         sc = load("bt_classic_27.yaml")
         assert node_count(sc.build_tree()) == 27
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", SHIPPED)
-    def test_parse_serialize_parse(self, name):
-        sc = load(name)
-        text = serialize_scenario(sc)
-        sc2 = scenario_from_dict(yaml.safe_load(text), source="<roundtrip>")
-        assert scenario_to_dict(sc) == scenario_to_dict(sc2)
 
 
 class TestValidation:
