@@ -13,7 +13,6 @@ higher priority, removed as soon as they hold).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -103,9 +102,6 @@ def achieve_matrix(m: int, target: int) -> np.ndarray:
     return b
 
 
-_BASE_NAME = re.compile(r"^([^(]+)")
-
-
 @dataclass(frozen=True, eq=False)
 class ActionTemplate:
     """Named action with preconditions, postconditions and state transitions.
@@ -127,10 +123,6 @@ class ActionTemplate:
             raise DomainError(f"action {self.name}: duration must be >= 1")
         if self.success_prob is not None and not 0.0 <= self.success_prob <= 1.0:
             raise DomainError(f"action {self.name}: success_prob must be in [0, 1]")
-
-    @property
-    def base_name(self) -> str:
-        return _BASE_NAME.match(self.name).group(1)
 
     @property
     def success_probability(self) -> float:
@@ -228,8 +220,8 @@ def update_beliefs(
         acted = last_action is not None and sid in last_action.transitions
         index = observations.get(sid)
         if not acted and index is None:
-            # no evidence and identity dynamics: the softmax of the clamped
-            # log-identity would sharpen the belief, so leave it alone
+            # no evidence and an identity transition: the softmax of the
+            # clamped log-identity would sharpen the belief, so leave it alone
             updated[sid] = b.copy()
             continue
         _, _, log_b = state.transitions[last_action.name] if acted else state.identity

@@ -26,9 +26,9 @@ DEFAULT_HORIZON = 2
 #: how far a probability may stray from [0, 1], or a distribution's sum from 1
 PROB_TOL = 1e-9
 IDLE = "Idle"
-#: most entries each process-wide table holds: interned matrices, and the
-#: evidence entries, terms, G values and rows of the term table together.  A
-#: full table is emptied before its next insert.
+#: most entries each process-wide table holds: the interned matrices, and the
+#: terms, G values and rows of the memo together.  A full table is emptied
+#: before its next insert.
 TABLE_CAP = 4096
 
 
@@ -265,7 +265,7 @@ class InferenceOutcome:
     free_energy: np.ndarray
     expected_free_energy: np.ndarray
     # state id -> [policy][tau] belief vectors (read-only, shared with the
-    # process-wide term table)
+    # process-wide memo)
     per_policy_beliefs: dict[str, Sequence[list[np.ndarray]]]
     chosen_action: str = IDLE
 
@@ -315,28 +315,16 @@ class _StateModel:
     A, log-A) and one transition entry (id, B, log-B) per acting action.
     Every action without an entry shares the identity entry (id, I, log-I)."""
 
-    __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions",
-                 "_dynamics")
+    __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions")
 
     def __init__(self, likelihood: tuple, identity: tuple,
                  transitions: dict[str, tuple]):
         self.key, self.likelihood, self.log_likelihood = likelihood
         self.identity = identity
         self.transitions = transitions
-        self._dynamics: Optional[tuple] = None
 
     def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
-
-    @property
-    def dynamics(self) -> tuple:
-        """(identity id, frozenset of (action name, transition id)): equal
-        exactly when two state models move the state alike under every
-        action name.  Built on first use, since only rounds read it."""
-        if self._dynamics is None:
-            self._dynamics = (self.identity[0], frozenset(
-                (name, entry[0]) for name, entry in self.transitions.items()))
-        return self._dynamics
 
     def observation(self, index: Optional[int]) -> Optional[np.ndarray]:
         """The one-hot vector of observed value ``index`` (None for no
@@ -347,127 +335,64 @@ class _StateModel:
         return self.log_likelihood.T @ observation
 
 
-class _Evidence:
-    """Term-table entry for one (likelihood, prior belief, observation): the
-    current value, per transition id the evaluated :class:`_Term`, and per
-    (state dynamics, candidate tuple, preferences C) one state's row of a
-    round.  States with equal likelihoods share an entry, so transitions
-    come from the asking state.  ``prior`` and ``observation`` are read-only
-    private copies: the entry outlives the round that made it."""
+# The process-wide memo of rounds, shared by every model, episode and
+# scenario.  F and G are sums over independent state factors, so it keeps
+# each state's part of a round and the terms that part is made of.  Every
+# key is content: a matrix id from _MATRICES, or the bytes of a vector.
+# Three kinds of key, told apart by their length:
+#   term, 4 slots: (A id, B id, bytes of D, bytes of o or None)
+#       -> (posterior beliefs [s_1, s_2], read-only; F)
+#   G, 2 slots: (term key, bytes of C) -> G
+#   row, 5 slots: (A id, bytes of D, bytes of o or None, the candidates'
+#       transition ids on the state, bytes of C)
+#       -> (F per candidate, G per candidate, beliefs per candidate,
+#           whether C is already satisfied)
+# D is the prior belief, o the observation and C the preferences.  Values
+# are sweep outputs and floats, never a caller's array.  The memo holds at
+# most TABLE_CAP entries and is emptied when full; it takes no lock, since
+# rounds run on one thread.
+_MEMO: dict[tuple, object] = {}
 
-    __slots__ = ("prior", "observation", "current", "terms", "rows")
 
-    def __init__(self, state: _StateModel, prior, observation):
-        self.prior = prior
-        self.observation = observation
-        # most likely value once this tick's observation is folded in
-        belief = prior
-        if observation is not None:
-            belief = softmax(safe_log(prior) + state.evidence(observation))
-        self.current = int(np.argmax(belief))
-        self.terms: dict[int, _Term] = {}
-        self.rows: dict[tuple, tuple] = {}
+def _remember(key: tuple, value):
+    """Store ``value`` under ``key`` in :data:`_MEMO` and return it."""
+    if len(_MEMO) >= TABLE_CAP:
+        _MEMO.clear()
+    _MEMO[key] = value
+    return value
 
-    def term(self, state: _StateModel, action: str) -> "_Term":
-        key, b, _ = state.transition(action)
-        term = self.terms.get(key)
+
+def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
+         observation: Optional[np.ndarray], c: np.ndarray, row_key: tuple) -> tuple:
+    """One state's part of a round over ``actions`` under preferences ``c``,
+    built from the memo's terms and G values and remembered under
+    ``row_key`` (see :data:`_MEMO`)."""
+    _, d_key, o_key, _, c_key = row_key
+    a = state.likelihood
+    obs = [observation, None]
+    f_row, g_row, per_policy = [], [], []
+    for action in actions:
+        b_id, b, _ = state.transition(action)
+        key = (state.key, b_id, d_key, o_key)
+        term = _MEMO.get(key)
         if term is None:
-            _TERMS.admit()
-            a = state.likelihood
-            bs = [b]
-            obs = [self.observation, None]
-            beliefs = update_posterior_states(bs, a, self.prior, obs)
+            beliefs = update_posterior_states([b], a, prior, obs)
             for belief in beliefs:
                 belief.flags.writeable = False
-            f = variational_free_energy(beliefs, bs, a, self.prior, obs)
-            term = self.terms[key] = _Term(a, beliefs, f)
-        return term
-
-    def row(self, state: _StateModel, actions: tuple[str, ...],
-            c: np.ndarray) -> tuple:
-        """The state's part of a round over ``actions`` under preferences
-        ``c``: (F per candidate, G per candidate, beliefs per candidate,
-        whether ``c`` is already satisfied).  Keyed by the state's dynamics
-        with the names, not the names alone: two models may give one name
-        different dynamics."""
-        c_key = c.tobytes()
-        key = (state.dynamics, actions, c_key)
-        row = self.rows.get(key)
-        if row is None:
-            terms = [self.term(state, a) for a in actions]
-            satisfied = preferences_satisfied(self.current, c)
-            _TERMS.admit()
-            row = self.rows[key] = (
-                tuple(t.free_energy for t in terms),
-                tuple(t.expected_free_energy(c, c_key) for t in terms),
-                tuple(t.beliefs for t in terms),
-                satisfied,
-            )
-        return row
-
-
-class _Term:
-    """Posterior beliefs and F of one (likelihood, transition, prior belief,
-    observation), plus G for each preference vector seen so far."""
-
-    __slots__ = ("likelihood", "beliefs", "free_energy", "expected")
-
-    def __init__(self, likelihood: np.ndarray, beliefs: list[np.ndarray],
-                 free_energy: float):
-        self.likelihood = likelihood
-        self.beliefs = beliefs
-        self.free_energy = free_energy
-        self.expected: dict[bytes, float] = {}
-
-    def expected_free_energy(self, c: np.ndarray, c_key: bytes) -> float:
-        g = self.expected.get(c_key)
+            term = _remember(key, (beliefs, variational_free_energy(
+                beliefs, [b], a, prior, obs)))
+        g = _MEMO.get((key, c_key))
         if g is None:
-            _TERMS.admit()
-            g = self.expected[c_key] = expected_free_energy(self.beliefs, self.likelihood, c)
-        return g
-
-
-class _TermTable:
-    """The process-wide memo of evaluated terms: (likelihood id, prior belief
-    bytes, observation bytes) -> :class:`_Evidence`.
-
-    ``size`` counts the evidence entries, terms, G values and rows stored
-    since the table was last emptied, and the table is emptied before an
-    insert that would take ``size`` past :data:`TABLE_CAP`.  A round that
-    holds an entry across such a clear may still add terms and rows to it;
-    they count too, so ``size`` never understates what the table holds.  The
-    table takes no lock: rounds run on one thread."""
-
-    __slots__ = ("entries", "size")
-
-    def __init__(self):
-        self.entries: dict[tuple, _Evidence] = {}
-        self.size = 0
-
-    def admit(self):
-        """Make room for one more stored value."""
-        if self.size >= TABLE_CAP:
-            self.entries.clear()
-            self.size = 0
-        self.size += 1
-
-    def evidence(self, state: _StateModel, prior, observation) -> _Evidence:
-        prior = np.asarray(prior, dtype=float)
-        if observation is not None:
-            observation = np.asarray(observation, dtype=float)
-        key = (state.key, prior.tobytes(),
-               None if observation is None else observation.tobytes())
-        entry = self.entries.get(key)
-        if entry is None:
-            self.admit()
-            if observation is not None:
-                observation = _read_only(observation.copy())
-            entry = self.entries[key] = _Evidence(
-                state, _read_only(prior.copy()), observation)
-        return entry
-
-
-_TERMS = _TermTable()
+            g = _remember((key, c_key), expected_free_energy(term[0], a, c))
+        per_policy.append(term[0])
+        f_row.append(term[1])
+        g_row.append(g)
+    # most likely value once this tick's observation is folded in
+    belief = prior
+    if observation is not None:
+        belief = softmax(safe_log(prior) + state.evidence(observation))
+    satisfied = preferences_satisfied(int(np.argmax(belief)), c)
+    return _remember(row_key, (tuple(f_row), tuple(g_row), tuple(per_policy), satisfied))
 
 
 class CompiledModel:
@@ -481,19 +406,8 @@ class CompiledModel:
     content, so equal matrices share one entry, and one id, across states,
     models and episodes.  The inputs are trusted: they were validated where
     they were parsed (scenario files) or constructed (:class:`Factor`).
-
-    Rounds on any model read and fill one process-wide term table.  A state
-    enters its terms only through A: posterior beliefs and F depend on (A,
-    B, prior belief, observation), and G on those plus the preferences C.
-    A state's row of a round (its F, G and beliefs for every candidate, and
-    whether C is satisfied) is kept per (A, prior belief, observation, the
-    state's B per action name, the candidate names, C).  Every key is
-    content: a matrix id, a name, or the bytes of a vector.  So two
-    scenarios share a term exactly when its inputs are equal, whatever their
-    action names, and share a row when their dynamics are equal too.  Each
-    distinct key is evaluated once, by the same math functions an uncached
-    round calls, and then read back.  Each table holds at most
-    :data:`TABLE_CAP` entries.
+    Rounds on any model read and fill one memo (see the comment above
+    :data:`_MEMO`).
     """
 
     def __init__(self, likelihoods: Mapping[str, np.ndarray],
@@ -528,7 +442,7 @@ def run_active_inference(
     :class:`Factor` objects, which is compiled on the spot.
 
     Builds one one-step policy per candidate action, takes each factor's row
-    of per-policy beliefs, F and G from the process-wide term table (summing
+    of per-policy beliefs, F and G from the process-wide memo (summing
     F and G across factors), forms the policy posterior and picks the action.
     When every preference is already satisfied :data:`IDLE` is returned
     outright: the exact expected-free-energy score would otherwise favour
@@ -547,9 +461,19 @@ def run_active_inference(
     # of an uncached round's additions, so the sums are bit-identical.  The
     # sums stay lazy until the last state is in.
     for sid, state in model.states.items():
-        evidence = _TERMS.evidence(state, beliefs[sid], observations.get(sid))
-        f_row, g_row, per_policy[sid], state_satisfied = evidence.row(
-            state, candidates, np.asarray(preferences[sid], dtype=float))
+        prior = np.asarray(beliefs[sid], dtype=float)
+        observation = observations.get(sid)
+        o_key = None
+        if observation is not None:
+            observation = np.asarray(observation, dtype=float)
+            o_key = observation.tobytes()
+        c = np.asarray(preferences[sid], dtype=float)
+        key = (state.key, prior.tobytes(), o_key,
+               tuple([state.transition(a)[0] for a in candidates]), c.tobytes())
+        row = _MEMO.get(key)
+        if row is None:
+            row = _row(state, candidates, prior, observation, c, key)
+        f_row, g_row, per_policy[sid], state_satisfied = row
         f_total = map(add, f_total, f_row)
         g_total = map(add, g_total, g_row)
         satisfied = satisfied and state_satisfied

@@ -137,6 +137,8 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
         return _scenario_from_dict(data, source)
     except ScenarioError:
         raise
+    except RecursionError as exc:
+        raise ScenarioError(source, "document nests too deeply") from exc
     except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         # a value of the wrong type or shape, or a reference the domain or
         # the tree rejects, deeper than the checks below name
@@ -258,6 +260,8 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(str(path), f"cannot read: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(str(path), f"YAML parse error: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(str(path), "document nests too deeply") from exc
     return scenario_from_dict(data, source=str(path))
 
 

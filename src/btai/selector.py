@@ -50,7 +50,8 @@ def compile_model(registry: StateRegistry,
 def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
     """An action is a candidate unless all its declared postconditions
     already hold: such an action cannot improve anything, yet the entropy
-    term of the expected free energy would still reward its noisy dynamics."""
+    term of the expected free energy would still reward its noisy
+    transitions."""
     if not action.postconditions:
         return True  # Idle and other pure no-ops stay available
     for sid, idx in action.postconditions:

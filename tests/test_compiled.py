@@ -1,5 +1,5 @@
-"""The process-wide term table must be invisible: memoized rounds equal a
-fresh evaluation bit for bit, and sharing the table between models, episodes
+"""The process-wide memo must be invisible: memoized rounds equal a
+fresh evaluation bit for bit, and sharing the memo between models, episodes
 and scenarios changes no byte.  Perception reads the same model and must
 equal its formula bit for bit."""
 
@@ -130,8 +130,8 @@ def test_models_with_equal_action_names_keep_their_own_terms():
 def test_rows_follow_candidate_order_and_pushes(seed, rounds):
     rng = np.random.default_rng(seed)
     # two-valued states with identity likelihoods and uniform beliefs share
-    # evidence entries wherever their observations agree, while their
-    # transitions differ under the same action names
+    # terms wherever their observations agree, while their transitions
+    # differ under the same action names
     factors, actions, observations = random_model(rng, max_m=2, max_factors=4)
     likelihoods, transitions = _split(factors)
     model, _, c = CompiledModel.from_factors(factors)
@@ -151,11 +151,16 @@ def test_rows_follow_candidate_order_and_pushes(seed, rounds):
                                       candidates, observations)
 
 
+def _rows() -> list[tuple]:
+    """The row keys of the memo: the only keys with five slots."""
+    return [key for key in inference._MEMO if len(key) == 5]
+
+
 def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
-    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MEMO", {})
     rng = np.random.default_rng(5)
-    # same A, belief, observation and C, so one evidence entry; the same
-    # action name moves each state differently
+    # same A, belief, observation and C, so the states share every term of
+    # the identity; the same action name moves each state differently
     likelihoods = {"s": np.eye(2), "t": np.eye(2)}
     transitions = {"s": {"act": random_stochastic(rng, 2)},
                    "t": {"act": random_stochastic(rng, 2)}}
@@ -167,18 +172,17 @@ def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
         out = run_active_inference(model, candidates, o, d, c)
         _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                       candidates, o)
-    (entry,) = inference._TERMS.entries.values()
-    assert len(entry.rows) == 6
+    assert len(_rows()) == 6
 
 
 def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
-    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MEMO", {})
     rng = np.random.default_rng(8)
     for _ in range(10):
         factors, actions, observations = random_model(rng, identity_likelihood=False)
         model, beliefs, c = CompiledModel.from_factors(factors)
         first = run_active_inference(model, actions, observations, beliefs, c)
-        size = inference._TERMS.size
+        size = len(inference._MEMO)
         # each episode compiles its own model; copies of every array make
         # sure that only content links the two
         copies = {sid: Factor(f.likelihood.copy(),
@@ -187,13 +191,13 @@ def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
                   for sid, f in factors.items()}
         fresh, beliefs, c = CompiledModel.from_factors(copies)
         again = run_active_inference(fresh, actions, observations, beliefs, c)
-        assert inference._TERMS.size == size
+        assert len(inference._MEMO) == size
         assert np.array_equal(again.policy_probs, first.policy_probs)
         assert again.chosen_action == first.chosen_action
 
 
 def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
-    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MEMO", {})
     checked = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -220,25 +224,40 @@ def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
     assert checked >= 5
 
 
-def _table_size(table) -> int:
-    """Evidence entries, terms, G values and rows the term table holds."""
-    return sum(1 + len(e.terms) + sum(len(t.expected) for t in e.terms.values())
-               + len(e.rows) for e in table.entries.values())
+def test_rounds_with_equal_transitions_share_rows(monkeypatch):
+    monkeypatch.setattr(inference, "_MEMO", {})
+    rng = np.random.default_rng(13)
+    b = random_stochastic(rng, 3)
+    likelihoods = {"s": np.eye(3), "t": random_stochastic(rng, 2)}
+    # "twin" moves every state as "act" does; neither "Idle" nor "wait" acts
+    transitions = {"s": {"act": b, "twin": b.copy()}, "t": {}}
+    d = {"s": rng.dirichlet(np.ones(3)), "t": np.array([0.4, 0.6])}
+    o = {"s": np.eye(3)[1], "t": None}
+    c = {"s": np.array([0.0, 0.0, 2.0]), "t": np.array([1.0, 0.0])}
+    model = CompiledModel(likelihoods, transitions)
+    first = run_active_inference(model, ["Idle", "act"], o, d, c)
+    size = len(inference._MEMO)
+    again = run_active_inference(model, ["wait", "twin"], o, d, c)
+    _assert_round_equals_uncached(again, likelihoods, transitions, d, c,
+                                  ["wait", "twin"], o)
+    assert len(inference._MEMO) == size
+    assert np.array_equal(again.policy_probs, first.policy_probs)
 
 
-def test_tables_stay_within_their_cap(monkeypatch):
-    cap = 40
+@pytest.mark.parametrize("cap", [3, 40])
+def test_tables_stay_within_their_cap(monkeypatch, cap):
+    # with cap 3 the memo is also emptied inside a row's evaluation
     monkeypatch.setattr(inference, "TABLE_CAP", cap)
-    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MEMO", {})
     monkeypatch.setattr(inference, "_MATRICES", {})
-    admitted = []
-    admit = inference._TermTable.admit
+    remembered = []
+    remember = inference._remember
 
-    def counting_admit(self):
-        admitted.append(1)
-        admit(self)
+    def counting_remember(key, value):
+        remembered.append(key)
+        return remember(key, value)
 
-    monkeypatch.setattr(inference._TermTable, "admit", counting_admit)
+    monkeypatch.setattr(inference, "_remember", counting_remember)
     rng = np.random.default_rng(11)
     # the first model outlives many clears of both tables
     first = random_model(rng)
@@ -257,9 +276,9 @@ def test_tables_stay_within_their_cap(monkeypatch):
             out = run_active_inference(model, candidates, observations, d, c)
             _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                           candidates, observations)
-            assert _table_size(inference._TERMS) <= inference._TERMS.size <= cap
+            assert len(inference._MEMO) <= cap
             assert len(inference._MATRICES) <= cap
-    assert len(admitted) > 5 * cap
+    assert len(remembered) > 5 * cap
 
 
 def _scenario_docs():
@@ -301,7 +320,7 @@ def test_back_to_back_episodes_share_memo_byte_for_byte(tmp_path):
 
 
 def test_factor_round_after_episode_reads_the_episode_terms(monkeypatch):
-    monkeypatch.setattr(inference, "_TERMS", inference._TermTable())
+    monkeypatch.setattr(inference, "_MEMO", {})
     monkeypatch.setattr(inference, "_MATRICES", {})
     sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))
     result = run_episode(sc)

@@ -97,10 +97,6 @@ class TestActionValidation:
         with pytest.raises(DomainError):
             ActionTemplate("Quick", duration_ticks=0)
 
-    def test_base_name_strips_grounding(self):
-        assert ActionTemplate("moveTo(shelf)").base_name == "moveTo"
-        assert ActionTemplate("Pick").base_name == "Pick"
-
     def test_success_probability(self):
         act = ActionTemplate("Go", postconditions=(("isAt", 0),),
                              transitions={"isAt": achieve_matrix(2, 0)})

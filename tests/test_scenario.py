@@ -41,8 +41,9 @@ class TestShippedScenarios:
     def test_scenario_1_shape(self):
         sc = load("scenario_1.yaml")
         assert len(sc.states) == 5
-        # six action names counting grounded variants once
-        assert len({a.base_name for a in sc.actions}) == 6
+        assert [a.name for a in sc.actions] == [
+            "Idle", "moveTo(shelf)", "moveTo(table)", "Pick", "Place", "Push",
+            "PlaceOnPlate"]
         assert node_count(sc.build_tree()) == 6
 
     def test_classic_tree_is_27_nodes(self):
@@ -278,3 +279,33 @@ class TestIdleAction:
     def test_tree_without_prior_leaves_needs_no_idle(self):
         sc = scenario_from_dict(self.without_idle("bt_classic_27.yaml"))
         assert "Idle" not in sc.actions_by_name()
+
+
+DEPTH = 1000
+
+
+def _nested_bt(depth: int) -> dict:
+    node = {"action": "Idle"}
+    for _ in range(depth):
+        node = {"sequence": [node]}
+    return node
+
+
+def test_deeply_nested_yaml_exits_3_without_traceback(tmp_path, capsys):
+    text = shipped_scenario_path("scenario_1.yaml").read_text()
+    head = text[:text.index("bt:")]
+    tail = text[text.index("\nworld:"):]
+    path = tmp_path / "deep.yaml"
+    path.write_text(head + "bt: " + "{sequence: [" * DEPTH + "{action: Idle}"
+                    + "]}" * DEPTH + tail)
+    assert main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "nests too deeply" in err
+
+
+def test_deeply_nested_dict_raises_scenario_error():
+    data = base_dict()
+    data["bt"] = _nested_bt(DEPTH)
+    with pytest.raises(ScenarioError, match="nests too deeply"):
+        scenario_from_dict(data)
