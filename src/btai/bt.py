@@ -248,7 +248,8 @@ def export_graph(root: BTNode) -> str:
     nodes = assign_ids(root)
     lines = ["digraph bt {"]
     for node in nodes:
-        label = node.label.replace('"', r"\"")
+        # backslashes first: Graphviz reads \N, \l and \n in a label as escapes
+        label = node.label.replace("\\", "\\\\").replace('"', r"\"")
         lines.append(f'  n{node.node_id} [shape={_SHAPES[node.kind]} label="{label}"];')
     for node in nodes:
         for child in node.children:

@@ -11,12 +11,14 @@ file with a fixed field order so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import inference
 from .bt import Action, BTNode, Prior, TickStatus, assign_ids, node_count
 from .domain import (
     ActionTemplate,
@@ -240,14 +242,121 @@ def run_episode(
     return result
 
 
-# one encoder for every record: json.dumps with options builds a new
-# encoder on each call
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+# -- trace encoding ---------------------------------------------------------
+#
+# A record's line is assembled in the fixed field order of _make_record and
+# _serialize_verdict from fragments: float vectors (F, G, the policy
+# posterior), belief entries, maps of preferences and small fields (value
+# indices, names, id lists).  Fragments repeat across ticks and episodes
+# far more often than records do, so the JSON text of each fragment is kept
+# in _TEXT under its exact content.  A lookup is ``_TEXT.get(key) or
+# _remember(key, text)``: JSON text is never empty, so the generic encoder
+# runs only on a miss.  The text for a key is always that encoder's output,
+# so a line has the bytes of json.dumps(record, separators=(",", ":")).
+#
+# Keys.  A key is a tuple whose first item is the fragment's kind, so equal
+# contents of two kinds never share a key; a name (a str or None) is its own
+# key.  Floats are keyed by value, which builds and hashes fastest, unless
+# they contain a zero: 0.0 == -0.0 and both hash alike, yet they print
+# differently, so floats with a zero are keyed by their packed bytes.  Other
+# values are keyed as the schema types them: ints (never bools), strings
+# and None.  A key holding a NaN may miss, which costs time, never bytes.
+#
+# Beliefs are keyed per state: a tick's joint beliefs repeat far less often
+# than its vectors.  A map of preferences is keyed whole, since there are
+# few of them.  Like the planner's tables, the memo lives for the process,
+# as fragments recur across episodes; it holds at most TABLE_CAP entries and
+# is emptied when full.
+_TEXT: dict = {}
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_FLOATS, _BELIEF, _PREFERENCES, _INDICES, _LIST, _PAIRS = range(6)
+
+
+def _remember(key, text: str) -> str:
+    """Store ``text`` under ``key`` in :data:`_TEXT` and return it."""
+    if len(_TEXT) >= inference.TABLE_CAP:
+        _TEXT.clear()
+    _TEXT[key] = text
+    return text
+
+
+def _name(name) -> str:
+    return _TEXT.get(name) or _remember(name, _encode(name))
+
+
+def _floats(v: list) -> str:
+    key = (_FLOATS, *v) if 0.0 not in v else (_FLOATS, array("d", v).tobytes())
+    return _TEXT.get(key) or _remember(key, _encode(v))
+
+
+def _beliefs(beliefs: dict) -> str:
+    entries = []
+    for sid, v in beliefs.items():
+        key = ((_BELIEF, sid, *v) if 0.0 not in v
+               else (_BELIEF, sid, array("d", v).tobytes()))
+        entries.append(_TEXT.get(key) or _remember(key, _encode({sid: v})[1:-1]))
+    return "{" + ",".join(entries) + "}"
+
+
+def _preferences(preferences: dict) -> str:
+    vectors = preferences.values()
+    flat = [x for v in vectors for x in v]
+    # the state ids, then the lengths that split ``flat`` into vectors
+    head = (_PREFERENCES, *preferences, *map(len, vectors))
+    key = (*head, *flat) if 0.0 not in flat else (*head, array("d", flat).tobytes())
+    return _TEXT.get(key) or _remember(key, _encode(preferences))
+
+
+def _indices(values: dict) -> str:
+    key = (_INDICES, *values.items())
+    return _TEXT.get(key) or _remember(key, _encode(values))
+
+
+def _list(items: list) -> str:
+    key = (_LIST, *items)
+    return _TEXT.get(key) or _remember(key, _encode(items))
+
+
+def _pairs(pairs: list) -> str:
+    key = (_PAIRS, *map(tuple, pairs))
+    return _TEXT.get(key) or _remember(key, _encode(pairs))
+
+
+def _call(call: dict) -> str:
+    return ('{"candidates":%s,"preferences":%s,"F":%s,"G":%s,"policy_probs":%s,'
+            '"chosen":%s}' % (
+                _list(call["candidates"]), _preferences(call["preferences"]),
+                _floats(call["F"]), _floats(call["G"]),
+                _floats(call["policy_probs"]), _name(call["chosen"])))
+
+
+def _verdict(verdict: dict) -> str:
+    return ('{"node":%d,"status":%s,"action":%s,"pushed":%s,"removed_pushed":%s,'
+            '"chain":%s,"calls":[%s]}' % (
+                verdict["node"], _name(verdict["status"]), _name(verdict["action"]),
+                _pairs(verdict["pushed"]), _pairs(verdict["removed_pushed"]),
+                _list(verdict["chain"]), ",".join([_call(c) for c in verdict["calls"]])))
+
+
+def _encode_record(record: dict) -> str:
+    """One trace line: ``json.dumps(record, separators=(",", ":"))`` for a
+    record built by :func:`_make_record`."""
+    return ('{"tick":%d,"observations":%s,"beliefs":%s,"logical":%s,'
+            '"preferences":%s,"selector":[%s],"started":%s,"running":%s,'
+            '"visited":%s,"root_status":%s}' % (
+                record["tick"], _indices(record["observations"]),
+                _beliefs(record["beliefs"]), _indices(record["logical"]),
+                _preferences(record["preferences"]),
+                ",".join([_verdict(v) for v in record["selector"]]),
+                _list(record["started"]), _name(record["running"]),
+                _list(record["visited"]), _name(record["root_status"])))
 
 
 def write_trace(result: EpisodeResult, path):
-    lines = [_encode_record(r) for r in result.records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one ASCII JSON line per record, each ending in ``\\n``; no
+    records give an empty file."""
+    Path(path).write_bytes(
+        "".join([_encode_record(r) + "\n" for r in result.records]).encode("ascii"))
 
 
 def report(result: EpisodeResult) -> str:

@@ -95,11 +95,19 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
             post.append((str(p["state"]), strict_int(p.get("index", 0), "index")))
         except (KeyError, TypeError) as exc:
             raise ScenarioError(source, f"action {name}: bad postcondition {p!r}") from exc
+    # two preconditions on one state ask for two values at once or repeat
+    # each other
+    if len({p.state_id for p in pre}) < len(pre):
+        raise ScenarioError(source, f"action {name}: a state is named twice in pre")
     transitions = {}
     explicit = raw.get("transitions", {})
     for sid, idx in post:
         if sid not in registry:
             raise ScenarioError(source, f"action {name}: unknown state {sid!r}")
+        if sid in transitions:
+            # the model keeps one transition per state, while the simulator
+            # would apply every postcondition
+            raise ScenarioError(source, f"action {name}: state {sid!r} named twice in post")
         if sid in explicit:
             transitions[sid] = np.asarray(explicit[sid], dtype=float)
         else:

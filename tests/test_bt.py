@@ -1,4 +1,5 @@
 import collections.abc
+import re
 import typing
 
 import numpy as np
@@ -218,3 +219,12 @@ class TestExportGraph:
     def test_prior_is_hexagon(self):
         dot = export_graph(Prior([("isAt", 0)]))
         assert "hexagon" in dot
+
+    @pytest.mark.parametrize("name", ["pick\\", "a\\N", 'say "hi"'])
+    def test_label_reads_back_as_the_name(self, name):
+        # a DOT string ends at the first quote no backslash escapes; \\ and
+        # \" stand for the character they escape
+        dot = export_graph(Action(name))
+        match = re.search(r'label="((?:[^"\\]|\\.)*)"\];', dot)
+        assert match
+        assert re.sub(r"\\(.)", r"\1", match.group(1)) == name

@@ -1,13 +1,43 @@
+import dataclasses
+import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from btai import episode, inference
 from btai.episode import report, run_episode, write_trace
 from btai.scenario import parse_scenario, shipped_scenario_path
+
+SHIPPED = [
+    "scenario_1.yaml",
+    "scenario_1_conflict.yaml",
+    "scenario_1_prior_nav.yaml",
+    "scenario_failure.yaml",
+    "scenario_safety.yaml",
+    "bt_classic_27.yaml",
+]
 
 
 def run(name, **kw):
     return run_episode(parse_scenario(shipped_scenario_path(name)), **kw)
+
+
+def run_noisy(name, seed):
+    """An episode with observation noise and stochastic action outcomes."""
+    scenario = dataclasses.replace(
+        parse_scenario(shipped_scenario_path(name)), noise_p=0.1)
+    return run_episode(scenario, seed=seed, deterministic=False)
+
+
+def dumps(record):
+    return json.dumps(record, separators=(",", ":"))
 
 
 class TestNominal:
@@ -120,6 +150,127 @@ class TestTrace:
             run("scenario_1_conflict.yaml", trace_path=path)
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+    def test_ascii_lines_each_ending_in_newline(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        result = run("scenario_1_conflict.yaml", trace_path=path)
+        assert path.read_bytes() == b"".join(
+            dumps(r).encode("ascii") + b"\n" for r in result.records)
+
+    def test_no_ticks_give_an_empty_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        result = run("scenario_1.yaml", budget=0, trace_path=path)
+        assert result.records == []
+        assert path.read_bytes() == b""
+
+
+# floats whose text a memo keyed by == would confuse: signed zeros, the
+# smallest subnormal and neighbours one ulp apart
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 2.0),
+                  0.1, math.nextafter(0.1, 0.0), math.inf, -math.inf]
+# names JSON must escape: quotes, backslashes, non-ASCII and non-BMP text
+SPECIAL_NAMES = ['"', "\\", "a\\N", 'x"y\\', "\u00e9tat", "\u2028", "\U0001F916"]
+
+
+def edit(record, floats, names):
+    """``record`` with its floats replaced in order by ``floats`` (cycled) and
+    each state id or action name in ``names`` by its value there."""
+    values = itertools.cycle(floats)
+
+    def walk(x):
+        if isinstance(x, dict):
+            return {names.get(k, k): walk(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        if isinstance(x, float):
+            return next(values)
+        if isinstance(x, str):
+            return names.get(x, x)
+        return x
+
+    return walk(record)
+
+
+def encode_all(records):
+    return [episode._encode_record(r) for r in records]
+
+
+class TestTraceEncoding:
+    """A line is assembled from a process-wide memo of fragment texts
+    (``btai.episode._TEXT``); whatever the memo holds, it must have the bytes
+    of json.dumps."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(SHIPPED), seed=st.integers(0, 2 ** 31 - 1))
+    def test_lines_equal_json_dumps_on_cold_and_warm_memo(self, name, seed):
+        records = run_noisy(name, seed).records
+        expected = [dumps(r) for r in records]
+        with patch.dict(episode._TEXT, clear=True):
+            assert encode_all(records) == expected
+            assert encode_all(records) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(SHIPPED), seed=st.integers(0, 2 ** 31 - 1),
+           floats=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                           min_size=1, max_size=12),
+           new_names=st.lists(st.sampled_from(SPECIAL_NAMES) | st.text(min_size=1),
+                              min_size=1, max_size=12))
+    def test_edited_lines_equal_json_dumps(self, name, seed, floats, new_names):
+        scenario = parse_scenario(shipped_scenario_path(name))
+        originals = [s.id for s in scenario.states] + [a.name for a in scenario.actions]
+        names = dict(zip(originals, itertools.cycle(new_names)))
+        records = run_noisy(name, seed).records
+        edited = [edit(r, floats, names) for r in records]
+        with patch.dict(episode._TEXT, clear=True):
+            for batch in (records, edited, edited):
+                assert encode_all(batch) == [dumps(r) for r in batch]
+
+    @pytest.mark.parametrize("first, then", [
+        (0.0, -0.0), (-0.0, 0.0), (5e-324, 0.0), (1.0, math.nextafter(1.0, 2.0))])
+    def test_equal_or_adjacent_floats_keep_their_own_text(self, first, then):
+        records = run("scenario_1_conflict.yaml").records
+        with patch.dict(episode._TEXT, clear=True):
+            for value in (first, then):
+                edited = [edit(r, [value], {}) for r in records]
+                assert encode_all(edited) == [dumps(r) for r in edited]
+
+    @pytest.mark.parametrize("cap", [1, 3, 64])
+    def test_memo_stays_within_its_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(inference, "TABLE_CAP", cap)
+        monkeypatch.setattr(episode, "_TEXT", {})
+        remembered = []
+        remember = episode._remember
+
+        def counting_remember(key, text):
+            remembered.append(key)
+            return remember(key, text)
+
+        monkeypatch.setattr(episode, "_remember", counting_remember)
+        for name in SHIPPED:
+            for seed in range(3):
+                for record in run_noisy(name, seed).records:
+                    assert episode._encode_record(record) == dumps(record)
+                    assert len(episode._TEXT) <= cap
+        assert len(remembered) > 5 * cap
+
+    @pytest.mark.parametrize("name", ["scenario_1_conflict.yaml", "scenario_safety.yaml"])
+    def test_cli_in_a_fresh_process_writes_the_same_bytes(self, name, tmp_path):
+        # a fresh interpreter starts with an empty memo; this one has seen
+        # every other shipped scenario
+        for other in SHIPPED:
+            if other != name:
+                encode_all(run_noisy(other, 7).records)
+        path = shipped_scenario_path(name)
+        run_episode(parse_scenario(path), trace_path=tmp_path / "here.jsonl")
+        src = str(Path(episode.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cli = subprocess.run(
+            [sys.executable, "-m", "btai.cli", "run", str(path),
+             "--trace-out", str(tmp_path / "cli.jsonl"), "--quiet"],
+            env=env, capture_output=True, timeout=120)
+        assert cli.returncode in (0, 1, 2), cli.stderr
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "here.jsonl").read_bytes()
 
 
 class TestReport:

@@ -210,6 +210,11 @@ MALFORMED = {
     "seed-negative": _set(("seed",), -1),
     "condition-index-negative": lambda d: _condition(d).update(index=-1),
     "post-index-not-a-number": _set(("actions", 1, "post", 0, "index"), "a"),
+    # an action names each state at most once in pre and once in post
+    "post-state-twice": _set(("actions", 3, "post"), [{"state": "isHolding", "index": 0},
+                                                      {"state": "isHolding", "index": 1}]),
+    "pre-state-twice": _set(("actions", 3, "pre"), [{"state": "isReachable", "index": 0},
+                                                    {"state": "isReachable", "index": 0}]),
     # value indices are range-checked where predicates are built
     "condition-index-5": lambda d: _condition(d).update(index=5),
     "prior-index-5": lambda d: _prior_target(d).update(index=5),
