@@ -59,6 +59,10 @@ def _add_count(sub):
 
 
 def main(argv=None) -> int:
+    # names come from the scenario file; a stdout that cannot encode one
+    # (PYTHONIOENCODING=ascii, a C locale) prints it escaped, not a traceback
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = argparse.ArgumentParser(
         prog="btai",
         description="Reactive task planning with behavior trees and "
@@ -96,7 +100,7 @@ def main(argv=None) -> int:
             scenario = parse_scenario(args.scenario)
             dot = export_graph(scenario.build_tree())
             if args.out:
-                with open(args.out, "w") as fh:
+                with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(dot)
             else:
                 sys.stdout.write(dot)

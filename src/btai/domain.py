@@ -13,6 +13,7 @@ higher priority, removed as soon as they hold).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -227,7 +228,10 @@ def update_beliefs(
         _, _, log_b = state.transitions[last_action.name] if acted else state.identity
         v = log_b @ b
         if index is not None:
-            v = v + state.evidence(state.observation(index))
+            # the evidence log-A.T @ one-hot(index) is row index of log-A,
+            # bit for bit: every other product in it is a signed zero.  A
+            # bool index reads as its int value, a non-integer one raises.
+            v = v + state.log_likelihood[operator.index(index)]
         updated[sid] = softmax(v)
     return updated
 

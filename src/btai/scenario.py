@@ -263,7 +263,7 @@ def parse_scenario(path) -> Scenario:
     if not path.exists():
         raise ScenarioError(str(path), "file does not exist")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(path), f"cannot read: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import btai
 from btai.cli import main
 from btai.scenario import shipped_scenario_path
 
@@ -90,3 +95,33 @@ class TestUsage:
 
     def test_no_args(self, capsys):
         assert main([]) == 3
+
+
+class TestNonAsciiNames:
+    """A stdout that cannot encode a name prints it escaped: the exit code
+    stays the command's own and no traceback is printed."""
+
+    @pytest.fixture
+    def umlaut_scenario(self, tmp_path):
+        text = Path(S1).read_text(encoding="utf-8")
+        text = (text.replace("mobile-manipulation-nominal", "m\u00f6bile")
+                .replace("isAt", "ist\u00dcber").replace("moveTo(table)", "zum-T\u00fcsch"))
+        path = tmp_path / "umlaut.yaml"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", []), ("graph", []), ("validate", []), ("count-nodes", [S1])])
+    def test_ascii_stdout(self, umlaut_scenario, command, extra):
+        src = str(Path(btai.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "btai.cli", command, str(umlaut_scenario), *extra],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr  # run reaches its goal
+        assert b"Traceback" not in proc.stderr
+        if command == "graph":
+            assert b"ist\\xdcber" in proc.stdout
+        else:
+            assert b"m\\xf6bile" in proc.stdout

@@ -404,8 +404,48 @@ def test_update_beliefs_equals_term_by_term_formula(seed):
         out = update_beliefs(beliefs, observations, last, model)
         assert list(out) == [s.id for s in states]
         for sid, want in expected.items():
-            assert np.array_equal(out[sid], want), sid
+            assert out[sid].tobytes() == np.asarray(want).tobytes(), sid
             assert out[sid] is not beliefs[sid]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_perception_evidence_is_the_likelihood_product(seed):
+    # update_beliefs reads the evidence of index k as row k of log-A; it
+    # must equal log-A.T @ one-hot(k) bit for bit, also for a noisy A whose
+    # columns may hold exact zeros and ones
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    a = random_stochastic(rng, m)
+    for col in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
+        a[:, col] = np.eye(m)[int(rng.integers(m))]
+    b = random_stochastic(rng, m)
+    act = ActionTemplate("act", transitions={"s": b})
+    model = CompiledModel({"s": a}, {"s": {"act": b}})
+    belief = rng.dirichlet(np.ones(m))
+    for k in range(m):
+        for last in (None, act):
+            want = softmax(safe_log(np.eye(m) if last is None else b) @ belief
+                           + safe_log(a).T @ np.eye(m)[k])
+            out = update_beliefs({"s": belief}, {"s": k}, last, model)
+            assert out["s"].tobytes() == want.tobytes(), (k, last)
+
+
+@pytest.mark.parametrize("index", [True, np.int64(1)])
+def test_an_integer_like_index_is_perceived_as_its_int_value(index):
+    registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
+    model = compile_model(registry, [ActionTemplate("Idle")])
+    d = np.array([0.4, 0.6])
+    out = update_beliefs({"s": d}, {"s": index}, None, model)
+    assert out["s"].tobytes() == term_by_term_belief(d, np.eye(2)[1], None).tobytes()
+
+
+@pytest.mark.parametrize("index", [1.0, "1"])
+def test_a_non_integer_index_raises(index):
+    registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
+    model = compile_model(registry, [ActionTemplate("Idle")])
+    with pytest.raises(TypeError):
+        update_beliefs({"s": np.array([0.4, 0.6])}, {"s": index}, None, model)
 
 
 @pytest.mark.parametrize("name", ["scenario_1.yaml", "bt_classic_27.yaml"])

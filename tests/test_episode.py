@@ -253,7 +253,7 @@ class TestTraceEncoding:
                     assert len(episode._TEXT) <= cap
         assert len(remembered) > 5 * cap
 
-    @pytest.mark.parametrize("name", ["scenario_1_conflict.yaml", "scenario_safety.yaml"])
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_cli_in_a_fresh_process_writes_the_same_bytes(self, name, tmp_path):
         # a fresh interpreter starts with an empty memo; this one has seen
         # every other shipped scenario
@@ -271,6 +271,47 @@ class TestTraceEncoding:
             env=env, capture_output=True, timeout=120)
         assert cli.returncode in (0, 1, 2), cli.stderr
         assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "here.jsonl").read_bytes()
+
+
+class TestWarmEqualsCold:
+    """A (scenario, seed) gives the same trace bytes whatever the process-wide
+    tables hold: the planner's memo (terms, G values and rows), its matrix
+    intern table and the trace text memo."""
+
+    CASES = [(name, seed) for name in SHIPPED for seed in range(3)]
+
+    @staticmethod
+    def trace(name, seed, path):
+        write_trace(run_noisy(name, seed), path)
+        return path.read_bytes()
+
+    def test_tables_emptied_before_every_tick_give_the_warm_bytes(
+            self, monkeypatch, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        # warm: each case runs again after every other case ran
+        for name, seed in self.CASES:
+            self.trace(name, seed, path)
+        warm = {case: self.trace(*case, path) for case in self.CASES}
+
+        def empty_tables():
+            inference._MEMO.clear()
+            inference._MATRICES.clear()
+            episode._TEXT.clear()
+
+        update_beliefs, encode_record = episode.update_beliefs, episode._encode_record
+
+        def cold_update_beliefs(*args):
+            empty_tables()  # each tick starts with its perception step
+            return update_beliefs(*args)
+
+        def cold_encode_record(record):
+            empty_tables()
+            return encode_record(record)
+
+        monkeypatch.setattr(episode, "update_beliefs", cold_update_beliefs)
+        monkeypatch.setattr(episode, "_encode_record", cold_encode_record)
+        for case in self.CASES:
+            assert self.trace(*case, path) == warm[case], case
 
 
 class TestReport:
