@@ -228,6 +228,9 @@ def _build_node(spec, registry, actions_by_name, path) -> BTNode:
             if sid not in registry:
                 raise TreeError(f"{path}/prior[{i}]: unknown state {sid!r}")
             registry.validate_predicate(Predicate(sid, idx))
+            if any(sid == other for other, _ in targets):
+                # the assembled preferences would ask for both values at once
+                raise TreeError(f"{path}/prior[{i}]: state {sid!r} named twice")
             targets.append((sid, idx))
         return Prior(targets)
     raise TreeError(f"{path}: unknown node kind {kind!r}")

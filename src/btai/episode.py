@@ -11,9 +11,10 @@ file with a fixed field order so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -354,9 +355,24 @@ def _encode_record(record: dict) -> str:
 
 def write_trace(result: EpisodeResult, path):
     """Write one ASCII JSON line per record, each ending in ``\\n``; no
-    records give an empty file."""
-    Path(path).write_bytes(
-        "".join([_encode_record(r) + "\n" for r in result.records]).encode("ascii"))
+    records give an empty file.
+
+    An existing file is written over in place and then cut to length, not
+    truncated first: on ext4 a truncate followed by a write starts writeback
+    when the file is closed, which costs several times the write.  The file
+    keeps its inode, mode and links; a pipe, terminal or device is written
+    as a stream.  The write is not atomic and calls no fsync.
+    """
+    data = "".join([_encode_record(r) + "\n" for r in result.records]).encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def report(result: EpisodeResult) -> str:

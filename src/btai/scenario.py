@@ -202,6 +202,9 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
             at_tick = strict_int(raw["at_tick"], "perturbation at_tick")
         except KeyError as exc:
             raise ScenarioError(source, f"perturbation missing at_tick: {raw!r}") from exc
+        if at_tick < 1:
+            # tick 0 is world.fluents; the first step is tick 1
+            raise ScenarioError(source, f"perturbation at_tick must be >= 1 (got {at_tick})")
         if last_tick is not None and at_tick < last_tick:
             raise ScenarioError(source, "perturbation ticks must be non-decreasing")
         last_tick = at_tick

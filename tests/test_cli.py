@@ -15,6 +15,13 @@ CLASSIC = str(shipped_scenario_path("bt_classic_27.yaml"))
 FAIL = str(shipped_scenario_path("scenario_failure.yaml"))
 
 
+def cli_env(**extra):
+    """The environment of a fresh interpreter that imports this btai."""
+    src = str(Path(btai.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 class TestRun:
     def test_goal_exit_zero(self, capsys):
         assert main(["run", S1]) == 0
@@ -44,6 +51,18 @@ class TestRun:
 
     def test_negative_seed(self, capsys):
         assert main(["run", S1, "--seed", "-1"]) == 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_trace_to_a_pipe_is_a_stream(self, tmp_path):
+        # a pipe cannot be cut to length: the trace goes out as a stream
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", S1, "--quiet", "--trace-out", str(trace)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "btai.cli", "run", S1, "--trace-out", "/dev/stdout",
+             "--quiet"], env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr  # Goal
+        assert proc.stdout == trace.read_bytes()
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
         trace = tmp_path / "missing" / "trace.jsonl"
@@ -113,12 +132,9 @@ class TestNonAsciiNames:
     @pytest.mark.parametrize("command, extra", [
         ("run", []), ("graph", []), ("validate", []), ("count-nodes", [S1])])
     def test_ascii_stdout(self, umlaut_scenario, command, extra):
-        src = str(Path(btai.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         proc = subprocess.run(
             [sys.executable, "-m", "btai.cli", command, str(umlaut_scenario), *extra],
-            env=env, capture_output=True, timeout=120)
+            env=cli_env(PYTHONIOENCODING="ascii"), capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr  # run reaches its goal
         assert b"Traceback" not in proc.stderr
         if command == "graph":

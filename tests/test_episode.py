@@ -164,6 +164,66 @@ class TestTrace:
         assert path.read_bytes() == b""
 
 
+class TestTraceFile:
+    """``write_trace`` writes over an existing file in place and cuts it to
+    length; what is left must be what writing a new file leaves."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run("scenario_1_conflict.yaml")
+
+    @staticmethod
+    def expected(result):
+        return b"".join(dumps(r).encode("ascii") + b"\n" for r in result.records)
+
+    @pytest.mark.parametrize("extra", [b"x" * 100_000, b"\n"])
+    def test_longer_file_keeps_only_the_new_bytes(self, result, tmp_path, extra):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(self.expected(result) + extra)
+        write_trace(result, path)
+        assert path.read_bytes() == self.expected(result)
+
+    @pytest.mark.parametrize("old", [b"", b"{}\n", b"y" * 1000])
+    def test_shorter_file_keeps_only_the_new_bytes(self, result, tmp_path, old):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(old)
+        write_trace(result, path)
+        assert path.read_bytes() == self.expected(result)
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_symlink_rewrites_its_target_and_stays_a_link(self, result, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_bytes(b"z" * 50_000)
+        link.symlink_to(target)
+        write_trace(result, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == self.expected(result)
+
+    def test_hard_link_keeps_its_inode(self, result, tmp_path):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_bytes(b"z" * 50_000)
+        os.link(first, second)
+        inode = first.stat().st_ino
+        write_trace(result, second)
+        assert first.read_bytes() == second.read_bytes() == self.expected(result)
+        assert first.stat().st_ino == second.stat().st_ino == inode
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_mode_is_kept(self, result, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"z" * 50_000)
+        path.chmod(0o600)
+        write_trace(result, path)
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert path.read_bytes() == self.expected(result)
+
+    def test_no_ticks_over_a_file_leave_it_empty(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"z" * 50_000)
+        run("scenario_1.yaml", budget=0, trace_path=path)
+        assert path.read_bytes() == b""
+
+
 # floats whose text a memo keyed by == would confuse: signed zeros, the
 # smallest subnormal and neighbours one ulp apart
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 2.0),

@@ -215,6 +215,15 @@ MALFORMED = {
                                                       {"state": "isHolding", "index": 1}]),
     "pre-state-twice": _set(("actions", 3, "pre"), [{"state": "isReachable", "index": 0},
                                                     {"state": "isReachable", "index": 0}]),
+    # a prior leaf names each state at most once
+    "prior-state-twice": _set(("bt", "reactive_sequence", 0, "prior", "targets"),
+                              [{"state": "isHolding", "index": 0},
+                               {"state": "isHolding", "index": 1}]),
+    # tick 0 is world.fluents: a perturbation fires at tick 1 or later
+    "perturbation-at-tick-zero": _set(("perturbations",),
+                                      [{"at_tick": 0, "set": {"isAt": 0}}]),
+    "perturbation-at-tick-negative": _set(("perturbations",),
+                                          [{"at_tick": -3, "set": {"isAt": 0}}]),
     # value indices are range-checked where predicates are built
     "condition-index-5": lambda d: _condition(d).update(index=5),
     "prior-index-5": lambda d: _prior_target(d).update(index=5),
