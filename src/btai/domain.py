@@ -13,7 +13,6 @@ higher priority, removed as soon as they hold).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -63,6 +62,20 @@ def strict_int(value, what: str) -> int:
     """``value`` when it is an integer (a bool is not), else TypeError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def strict_str(value, what: str) -> str:
+    """``value`` when it is a string, else TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def strict_str_list(value, what: str) -> list[str]:
+    """``value`` when it is a list of strings, else TypeError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{what} must be a list of strings, got {value!r}")
     return value
 
 
@@ -228,10 +241,7 @@ def update_beliefs(
         _, _, log_b = state.transitions[last_action.name] if acted else state.identity
         v = log_b @ b
         if index is not None:
-            # the evidence log-A.T @ one-hot(index) is row index of log-A,
-            # bit for bit: every other product in it is a signed zero.  A
-            # bool index reads as its int value, a non-integer one raises.
-            v = v + state.log_likelihood[operator.index(index)]
+            v = v + state.evidence(index)
         updated[sid] = softmax(v)
     return updated
 

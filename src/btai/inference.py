@@ -12,9 +12,9 @@ policy posterior.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -84,9 +84,9 @@ class Factor:
 
     ``transitions`` maps action name to that action's transition matrix for
     this state; actions without an entry leave the state alone (identity).
-    Construction validates every part.  A scenario's states reach the
-    planner through a :class:`CompiledModel` instead, built from inputs that
-    were validated when the scenario was parsed.
+    Construction validates every part.  Factors reach the planner compiled,
+    through :meth:`CompiledModel.from_factors`; a scenario's states through
+    :func:`btai.selector.compile_model`, from inputs validated at parse time.
     """
 
     likelihood: np.ndarray                   # A, m x m
@@ -326,31 +326,28 @@ class _StateModel:
     def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
 
-    def observation(self, index: Optional[int]) -> Optional[np.ndarray]:
-        """The one-hot vector of observed value ``index`` (None for no
-        observation): a read-only row of the interned identity."""
-        return None if index is None else self.identity[1][index]
-
-    def evidence(self, observation: np.ndarray) -> np.ndarray:
-        return self.log_likelihood.T @ observation
+    def evidence(self, index: int) -> np.ndarray:
+        """Evidence of observed value ``index``: row index of log-A, which is
+        log-A.T @ one-hot(index) bit for bit, as every other product in it is
+        a signed zero.  A bool reads as its int; a non-integer raises."""
+        return self.log_likelihood[operator.index(index)]
 
 
 # The process-wide memo of rounds, shared by every model, episode and
 # scenario.  F and G are sums over independent state factors, so it keeps
 # each state's part of a round and the terms that part is made of.  Every
-# key is content: a matrix id from _MATRICES, or the bytes of a vector.
+# key is content: a matrix id from _MATRICES, a vector's bytes, or an int.
 # Three kinds of key, told apart by their length:
-#   term, 4 slots: (A id, B id, bytes of D, bytes of o or None)
+#   term, 4 slots: (A id, B id, bytes of D, observed value index or None)
 #       -> (posterior beliefs [s_1, s_2], read-only; F)
 #   G, 2 slots: (term key, bytes of C) -> G
-#   row, 5 slots: (A id, bytes of D, bytes of o or None, the candidates'
-#       transition ids on the state, bytes of C)
+#   row, 5 slots: (A id, bytes of D, observed value index or None, the
+#       candidates' transition ids on the state, bytes of C)
 #       -> (F per candidate, G per candidate, beliefs per candidate,
 #           whether C is already satisfied)
-# D is the prior belief, o the observation and C the preferences.  Values
-# are sweep outputs and floats, never a caller's array.  The memo holds at
-# most TABLE_CAP entries and is emptied when full; it takes no lock, since
-# rounds run on one thread.
+# D is the prior belief and C the preferences.  Values are sweep outputs and
+# floats, never a caller's array.  The memo holds at most TABLE_CAP entries
+# and is emptied when full; it takes no lock, since rounds run on one thread.
 _MEMO: dict[tuple, object] = {}
 
 
@@ -363,17 +360,18 @@ def _remember(key: tuple, value):
 
 
 def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
-         observation: Optional[np.ndarray], c: np.ndarray, row_key: tuple) -> tuple:
+         c: np.ndarray, row_key: tuple) -> tuple:
     """One state's part of a round over ``actions`` under preferences ``c``,
     built from the memo's terms and G values and remembered under
-    ``row_key`` (see :data:`_MEMO`)."""
-    _, d_key, o_key, _, c_key = row_key
+    ``row_key`` (see :data:`_MEMO`), which holds the observed value index."""
+    _, d_key, index, _, c_key = row_key
     a = state.likelihood
-    obs = [observation, None]
+    # the math functions take the observation as a one-hot vector
+    obs = [None if index is None else state.identity[1][index], None]
     f_row, g_row, per_policy = [], [], []
     for action in actions:
         b_id, b, _ = state.transition(action)
-        key = (state.key, b_id, d_key, o_key)
+        key = (state.key, b_id, d_key, index)
         term = _MEMO.get(key)
         if term is None:
             beliefs = update_posterior_states([b], a, prior, obs)
@@ -387,10 +385,11 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
         per_policy.append(term[0])
         f_row.append(term[1])
         g_row.append(g)
-    # most likely value once this tick's observation is folded in
+    # most likely value once this tick's observation is folded in: the
+    # exact argmax, lowest index on a tie (not logical_state's 1e-9 rule)
     belief = prior
-    if observation is not None:
-        belief = softmax(safe_log(prior) + state.evidence(observation))
+    if index is not None:
+        belief = softmax(safe_log(prior) + state.evidence(index))
     satisfied = preferences_satisfied(int(np.argmax(belief)), c)
     return _remember(row_key, (tuple(f_row), tuple(g_row), tuple(per_policy), satisfied))
 
@@ -429,17 +428,16 @@ class CompiledModel:
 
 
 def run_active_inference(
-    model: CompiledModel | Mapping[str, Factor],
+    model: CompiledModel,
     actions: Sequence[str],
-    observations: Mapping[str, Optional[np.ndarray]],
-    beliefs: Optional[Mapping[str, np.ndarray]] = None,
-    preferences: Optional[Mapping[str, np.ndarray]] = None,
+    observations: Mapping[str, Optional[int]],
+    beliefs: Mapping[str, np.ndarray],
+    preferences: Mapping[str, np.ndarray],
 ) -> InferenceOutcome:
-    """One full action-selection round over all state factors.
-
-    ``model`` is either a compiled model, with this round's prior ``beliefs``
-    (D) and ``preferences`` (C) per state, or a mapping of self-contained
-    :class:`Factor` objects, which is compiled on the spot.
+    """One full action-selection round over all state factors of ``model``
+    under this round's prior ``beliefs`` (D) and ``preferences`` (C) per
+    state.  ``observations`` maps a state to its observed value index (None,
+    or no entry, where there is none).
 
     Builds one one-step policy per candidate action, takes each factor's row
     of per-policy beliefs, F and G from the process-wide memo (summing
@@ -450,8 +448,6 @@ def run_active_inference(
     """
     if not actions:
         raise NoPoliciesError("no candidate actions")
-    if not isinstance(model, CompiledModel):
-        model, beliefs, preferences = CompiledModel.from_factors(model)
     candidates = tuple(actions)
     f_total = g_total = (0.0,) * len(candidates)
     per_policy: dict[str, Sequence[list[np.ndarray]]] = {}
@@ -462,20 +458,19 @@ def run_active_inference(
     # sums stay lazy until the last state is in.
     for sid, state in model.states.items():
         prior = np.asarray(beliefs[sid], dtype=float)
-        observation = observations.get(sid)
-        o_key = None
-        if observation is not None:
-            observation = np.asarray(observation, dtype=float)
-            o_key = observation.tobytes()
+        index = observations.get(sid)
+        if index is not None:
+            # 1.0 == 1 and both hash alike: only an int may key the memo
+            index = operator.index(index)
         c = np.asarray(preferences[sid], dtype=float)
-        key = (state.key, prior.tobytes(), o_key,
+        key = (state.key, prior.tobytes(), index,
                tuple([state.transition(a)[0] for a in candidates]), c.tobytes())
         row = _MEMO.get(key)
         if row is None:
-            row = _row(state, candidates, prior, observation, c, key)
+            row = _row(state, candidates, prior, c, key)
         f_row, g_row, per_policy[sid], state_satisfied = row
-        f_total = map(add, f_total, f_row)
-        g_total = map(add, g_total, g_row)
+        f_total = map(operator.add, f_total, f_row)
+        g_total = map(operator.add, g_total, g_row)
         satisfied = satisfied and state_satisfied
 
     f, g = np.array(list(f_total)), np.array(list(g_total))

@@ -25,6 +25,8 @@ from .domain import (
     strict_bool,
     strict_float,
     strict_int,
+    strict_str,
+    strict_str_list,
 )
 from .inference import IDLE
 from .world import PerturbationEvent, World
@@ -85,9 +87,9 @@ def _parse_predicate(raw, source) -> Predicate:
 
 def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
     try:
-        name = str(raw["name"])
+        name = strict_str(raw["name"], "action name")
     except (KeyError, TypeError) as exc:
-        raise ScenarioError(source, f"action entry missing a name: {raw!r}") from exc
+        raise ScenarioError(source, f"action entry needs a string name: {raw!r}") from exc
     pre = tuple(_parse_predicate(p, source) for p in raw.get("pre", []))
     post = []
     for p in raw.get("post", []):
@@ -118,10 +120,7 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
                 source, f"action {name}: transition for {sid!r} has no postcondition")
     # parameters name what a grounded action acts on; the planner reads
     # only the grounded name, but a malformed list is still an error
-    parameters = raw.get("parameters", [])
-    if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
-        raise ScenarioError(
-            source, f"action {name}: parameters must be a list of strings, got {parameters!r}")
+    strict_str_list(raw.get("parameters", []), f"action {name}: parameters")
     action = ActionTemplate(
         name=name,
         preconditions=pre,
@@ -166,8 +165,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     states = []
     for raw in data["states"]:
         try:
-            labels = tuple(str(v) for v in raw["values"])
-            states.append(StateVar(str(raw["id"]), len(labels), labels))
+            labels = tuple(strict_str_list(raw["values"], "values"))
+            states.append(StateVar(strict_str(raw["id"], "state id"), len(labels), labels))
         except (KeyError, TypeError, DomainError) as exc:
             raise ScenarioError(source, f"bad state entry {raw!r}: {exc}") from exc
     registry = StateRegistry(states)
@@ -238,7 +237,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         raise ScenarioError(source, "seed must be >= 0")
 
     scenario = Scenario(
-        name=str(data["name"]),
+        name=strict_str(data["name"], "name"),
         states=states,
         actions=actions,
         bt_spec=data["bt"],

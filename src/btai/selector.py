@@ -87,8 +87,6 @@ def adaptive_select(
             verdict.removed_pushed.append(pred)
 
     by_name = {a.name: a for a in actions}
-    obs_vectors = {sid: model.states[sid].observation(index)
-                   for sid, index in observations.items()}
     # the logical state is fixed for the call, and with it the viable set
     viable = [a.name for a in actions if _viable(a, logical)]
     excluded: set[str] = set()
@@ -96,7 +94,7 @@ def adaptive_select(
     while True:
         candidates = [name for name in viable if name not in excluded]
         preferences = priors.assemble_all(registry)
-        outcome = run_active_inference(model, candidates, obs_vectors, beliefs,
+        outcome = run_active_inference(model, candidates, observations, beliefs,
                                        preferences)
         verdict.calls.append(InferenceCall(
             preferences=preferences,

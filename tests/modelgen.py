@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from btai.inference import Factor
+from btai.inference import CompiledModel, Factor, run_active_inference
 
 
 def random_categorical(rng, m):
@@ -68,3 +68,26 @@ def factors_to_oracle(factors):
 def obs_to_oracle(observations):
     return {sid: (None if o is None else [float(x) for x in o])
             for sid, o in observations.items()}
+
+
+def observed_indices(observations):
+    """The value index of each one-hot observation vector (None stays None);
+    raises ValueError on a vector that is not one-hot."""
+    out = {}
+    for sid, o in observations.items():
+        if o is not None:
+            o = np.asarray(o, dtype=float)
+            hot = np.flatnonzero(o)
+            if o.ndim != 1 or hot.size != 1 or o[hot[0]] != 1.0:
+                raise ValueError(f"observation of {sid} is not one-hot: {o!r}")
+            o = int(hot[0])
+        out[sid] = o
+    return out
+
+
+def run_on_factors(factors, actions, observations):
+    """One round on self-contained factors and one-hot observations, compiled
+    with ``CompiledModel.from_factors``."""
+    model, beliefs, preferences = CompiledModel.from_factors(factors)
+    return run_active_inference(model, actions, observed_indices(observations),
+                                beliefs, preferences)

@@ -12,12 +12,12 @@ import pytest
 import yaml
 
 import oracle
-from modelgen import factors_to_oracle, obs_to_oracle, random_model
+from modelgen import factors_to_oracle, obs_to_oracle, random_model, run_on_factors
 from btai.bt import node_count
 from btai.cli import main as cli_main
 from btai.domain import Predicate, logical_state
 from btai.episode import run_episode
-from btai.inference import Factor, run_active_inference
+from btai.inference import Factor
 from btai.scenario import (
     parse_scenario,
     scenario_from_dict,
@@ -38,7 +38,7 @@ def test_criterion_01_oracle_equivalence_on_200_random_models():
     for _ in range(200):
         factors, actions, observations = random_model(rng, max_m=4,
                                                       max_actions=4)
-        out = run_active_inference(factors, actions, observations)
+        out = run_on_factors(factors, actions, observations)
         f_o, g_o, pi_o, _ = oracle.evaluate_model(
             factors_to_oracle(factors), actions, obs_to_oracle(observations))
         assert out.free_energy == pytest.approx(f_o, abs=1e-9)
@@ -58,8 +58,8 @@ def test_criterion_02_goal_seeking_example_reproduction():
     factor = Factor(likelihood=np.eye(2), transitions={"moveTo": B_G},
                     prior=np.array([0.5, 0.5]),
                     preferences=np.array([1.0, 0.0]))
-    out = run_active_inference({"g": factor}, ["Idle", "moveTo"],
-                               {"g": [0.0, 1.0]})
+    out = run_on_factors({"g": factor}, ["Idle", "moveTo"],
+                         {"g": [0.0, 1.0]})
     assert out.chosen_action == "moveTo"
     logical = logical_state({"g": np.array([0.08, 0.92])})
     assert logical["g"] == 1

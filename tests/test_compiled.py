@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import btai
 from btai import inference
-from modelgen import random_model, random_stochastic
+from modelgen import observed_indices, random_model, random_stochastic, run_on_factors
 from btai.domain import (
     ActionTemplate,
     StateRegistry,
@@ -102,7 +102,8 @@ def test_memoized_rounds_equal_uncached_evaluation(seed, identity, rounds):
              for sid in factors}
         k = int(rng.integers(1, len(actions) + 1))
         candidates = [str(u) for u in rng.permutation(actions)[:k]]
-        out = run_active_inference(model, candidates, observations, d, c)
+        out = run_active_inference(model, candidates, observed_indices(observations),
+                                   d, c)
         _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                       candidates, observations)
 
@@ -118,7 +119,7 @@ def test_models_with_equal_action_names_keep_their_own_terms():
         # same state, same action names, a different B for each model
         transitions = {"s": {"act": random_stochastic(rng, 3)}}
         model = CompiledModel(likelihoods, transitions)
-        out = run_active_inference(model, ["Idle", "act"], o, d, c)
+        out = run_active_inference(model, ["Idle", "act"], observed_indices(o), d, c)
         _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                       ["Idle", "act"], o)
         outcomes.append(out.expected_free_energy[1])
@@ -146,7 +147,8 @@ def test_rows_follow_candidate_order_and_pushes(seed, rounds):
             pushed = np.array(c[sid], dtype=float)
             pushed[int(rng.integers(2))] = 2.0
             c = {**c, sid: pushed}
-        out = run_active_inference(model, candidates, observations, d, c)
+        out = run_active_inference(model, candidates, observed_indices(observations),
+                                   d, c)
         _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                       candidates, observations)
 
@@ -169,7 +171,7 @@ def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
     c = {"s": np.array([0.0, 1.0]), "t": np.array([0.0, 1.0])}
     model = CompiledModel(likelihoods, transitions)
     for candidates in (["Idle", "act"], ["act", "Idle"], ["act"]):
-        out = run_active_inference(model, candidates, o, d, c)
+        out = run_active_inference(model, candidates, observed_indices(o), d, c)
         _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                       candidates, o)
     assert len(_rows()) == 6
@@ -181,7 +183,8 @@ def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
     for _ in range(10):
         factors, actions, observations = random_model(rng, identity_likelihood=False)
         model, beliefs, c = CompiledModel.from_factors(factors)
-        first = run_active_inference(model, actions, observations, beliefs, c)
+        first = run_active_inference(model, actions, observed_indices(observations),
+                                     beliefs, c)
         size = len(inference._MEMO)
         # each episode compiles its own model; copies of every array make
         # sure that only content links the two
@@ -190,7 +193,8 @@ def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
                               f.prior.copy(), f.preferences.copy())
                   for sid, f in factors.items()}
         fresh, beliefs, c = CompiledModel.from_factors(copies)
-        again = run_active_inference(fresh, actions, observations, beliefs, c)
+        again = run_active_inference(fresh, actions, observed_indices(observations),
+                                     beliefs, c)
         assert len(inference._MEMO) == size
         assert np.array_equal(again.policy_probs, first.policy_probs)
         assert again.chosen_action == first.chosen_action
@@ -210,14 +214,15 @@ def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
         d = {sid: b.copy() for sid, b in beliefs.items()}
         o = {sid: None if x is None else x.copy() for sid, x in observations.items()}
         # the first round evaluates only Idle's terms ...
-        run_active_inference(model, ["Idle"], o, d, c)
+        run_active_inference(model, ["Idle"], observed_indices(o), d, c)
         # ... then the caller reuses its arrays in place
         for sid, b in d.items():
             b[:] = rng.dirichlet(np.ones(b.size))
             if o[sid] is not None:
                 o[sid][:] = np.roll(o[sid], 1)
         # a later round on the original values evaluates the other terms
-        out = run_active_inference(model, actions, observations, beliefs, c)
+        out = run_active_inference(model, actions, observed_indices(observations),
+                                   beliefs, c)
         _assert_round_equals_uncached(out, likelihoods, transitions, beliefs, c,
                                       actions, observations)
         checked += 1
@@ -235,9 +240,9 @@ def test_rounds_with_equal_transitions_share_rows(monkeypatch):
     o = {"s": np.eye(3)[1], "t": None}
     c = {"s": np.array([0.0, 0.0, 2.0]), "t": np.array([1.0, 0.0])}
     model = CompiledModel(likelihoods, transitions)
-    first = run_active_inference(model, ["Idle", "act"], o, d, c)
+    first = run_active_inference(model, ["Idle", "act"], observed_indices(o), d, c)
     size = len(inference._MEMO)
-    again = run_active_inference(model, ["wait", "twin"], o, d, c)
+    again = run_active_inference(model, ["wait", "twin"], observed_indices(o), d, c)
     _assert_round_equals_uncached(again, likelihoods, transitions, d, c,
                                   ["wait", "twin"], o)
     assert len(inference._MEMO) == size
@@ -273,7 +278,8 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
             d = pool[int(rng.integers(len(pool)))]
             k = int(rng.integers(1, len(actions) + 1))
             candidates = [str(u) for u in rng.permutation(actions)[:k]]
-            out = run_active_inference(model, candidates, observations, d, c)
+            out = run_active_inference(model, candidates, observed_indices(observations),
+                                       d, c)
             _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
                                           candidates, observations)
             assert len(inference._MEMO) <= cap
@@ -347,7 +353,7 @@ def test_factor_round_after_episode_reads_the_episode_terms(monkeypatch):
                 c = {sid: np.array(v) for sid, v in call["preferences"].items()}
                 factors = {sid: Factor(likelihoods[sid], transitions[sid],
                                        beliefs[sid], c[sid]) for sid in likelihoods}
-                out = run_active_inference(factors, call["candidates"], observations)
+                out = run_on_factors(factors, call["candidates"], observations)
                 _assert_round_equals_uncached(out, likelihoods, transitions, beliefs,
                                               c, call["candidates"], observations)
                 assert out.free_energy.tolist() == call["F"]
@@ -446,6 +452,45 @@ def test_a_non_integer_index_raises(index):
     model = compile_model(registry, [ActionTemplate("Idle")])
     with pytest.raises(TypeError):
         update_beliefs({"s": np.array([0.4, 0.6])}, {"s": index}, None, model)
+
+
+def _index_round(index):
+    """A round on one two-valued state that observes value ``index``."""
+    model = CompiledModel({"s": np.eye(2)},
+                          {"s": {"act": np.array([[0.95, 0.9], [0.05, 0.1]])}})
+    return run_active_inference(model, ["Idle", "act"], {"s": index},
+                                {"s": np.array([0.4, 0.6])}, {"s": np.array([1.0, 0.0])})
+
+
+def _assert_same_round(out, want):
+    assert out.free_energy.tobytes() == want.free_energy.tobytes()
+    assert out.expected_free_energy.tobytes() == want.expected_free_energy.tobytes()
+    assert out.policy_probs.tobytes() == want.policy_probs.tobytes()
+    assert out.chosen_action == want.chosen_action
+    for got, expected in zip(out.per_policy_beliefs["s"], want.per_policy_beliefs["s"]):
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in expected]
+
+
+@pytest.mark.parametrize("index", [True, np.int64(1)])
+def test_an_integer_like_observation_is_planned_as_its_int_value(monkeypatch, index):
+    monkeypatch.setattr(inference, "_MEMO", {})
+    want = _index_round(1)
+    inference._MEMO.clear()
+    _assert_same_round(_index_round(index), want)   # cold
+    _assert_same_round(_index_round(index), want)   # warm
+    # the memo keys the observation slot by the int itself
+    assert [type(key[2]) for key in _rows()] == [int]
+
+
+@pytest.mark.parametrize("index", [1.0, "1"])
+def test_a_non_integer_observation_raises_cold_and_warm(monkeypatch, index):
+    monkeypatch.setattr(inference, "_MEMO", {})
+    with pytest.raises(TypeError):
+        _index_round(index)
+    _index_round(1)
+    # 1.0 == 1 and both hash alike, yet 1.0 must not read the row of 1
+    with pytest.raises(TypeError):
+        _index_round(index)
 
 
 @pytest.mark.parametrize("name", ["scenario_1.yaml", "bt_classic_27.yaml"])

@@ -15,6 +15,8 @@ from btai.domain import (
     holds,
     logical_state,
     strict_float,
+    strict_str,
+    strict_str_list,
     update_beliefs,
 )
 from btai.selector import compile_model
@@ -270,3 +272,18 @@ def test_strict_float():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             strict_float(bad, "x")
+
+
+def test_strict_str():
+    assert strict_str("isAt", "x") == "isAt"
+    for bad in (None, 7, True, [1, 2], {"a": 1}):
+        with pytest.raises(TypeError):
+            strict_str(bad, "x")
+
+
+def test_strict_str_list():
+    assert strict_str_list(["a", "b"], "x") == ["a", "b"]
+    assert strict_str_list([], "x") == []
+    for bad in ("ab", {"a": 1}, ("a", "b"), ["a", 2], [True], None):
+        with pytest.raises(TypeError):
+            strict_str_list(bad, "x")

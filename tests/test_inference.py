@@ -11,6 +11,7 @@ from modelgen import (
     random_categorical,
     random_model,
     random_stochastic,
+    run_on_factors,
 )
 from btai.inference import (
     EPS,
@@ -22,7 +23,6 @@ from btai.inference import (
     check_stochastic_matrix,
     expected_free_energy,
     policy_posterior,
-    run_active_inference,
     safe_log,
     select_action,
     softmax,
@@ -244,27 +244,27 @@ def example1_factor(preferences=(1.0, 0.0), prior=(0.5, 0.5)):
 
 class TestRunActiveInference:
     def test_example_goal_not_reached_chooses_move(self):
-        out = run_active_inference({"g": example1_factor()},
-                                   ["Idle", "moveTo"], {"g": [0.0, 1.0]})
+        out = run_on_factors({"g": example1_factor()},
+                             ["Idle", "moveTo"], {"g": [0.0, 1.0]})
         assert out.chosen_action == "moveTo"
 
     def test_goal_already_reached_chooses_idle(self):
-        out = run_active_inference({"g": example1_factor()},
-                                   ["Idle", "moveTo"], {"g": [1.0, 0.0]})
+        out = run_on_factors({"g": example1_factor()},
+                             ["Idle", "moveTo"], {"g": [1.0, 0.0]})
         assert out.chosen_action == "Idle"
 
     def test_indifferent_preferences_choose_idle(self):
-        out = run_active_inference({"g": example1_factor(preferences=(0.0, 0.0))},
-                                   ["Idle", "moveTo"], {"g": [0.0, 1.0]})
+        out = run_on_factors({"g": example1_factor(preferences=(0.0, 0.0))},
+                             ["Idle", "moveTo"], {"g": [0.0, 1.0]})
         assert out.chosen_action == "Idle"
 
     def test_no_actions(self):
         with pytest.raises(NoPoliciesError):
-            run_active_inference({"g": example1_factor()}, [], {"g": None})
+            run_on_factors({"g": example1_factor()}, [], {"g": None})
 
     def test_averaged_beliefs_consistent(self):
-        out = run_active_inference({"g": example1_factor()},
-                                   ["Idle", "moveTo"], {"g": [0.0, 1.0]})
+        out = run_on_factors({"g": example1_factor()},
+                             ["Idle", "moveTo"], {"g": [0.0, 1.0]})
         for t, avg in enumerate(out.averaged_beliefs["g"]):
             recomputed = bayesian_model_average(
                 out.policy_probs,
@@ -278,8 +278,8 @@ class TestRunActiveInference:
         original = inference.bayesian_model_average
         monkeypatch.setattr(inference, "bayesian_model_average",
                             lambda *a: calls.append(1) or original(*a))
-        out = run_active_inference({"g": example1_factor()},
-                                   ["Idle", "moveTo"], {"g": [0.0, 1.0]})
+        out = run_on_factors({"g": example1_factor()},
+                             ["Idle", "moveTo"], {"g": [0.0, 1.0]})
         assert calls == []
         assert len(out.averaged_beliefs["g"]) == 2
         assert len(calls) == 2
@@ -288,7 +288,7 @@ class TestRunActiveInference:
         rng = np.random.default_rng(11)
         for _ in range(25):
             factors, actions, observations = random_model(rng)
-            out = run_active_inference(factors, actions, observations)
+            out = run_on_factors(factors, actions, observations)
             assert out.policy_probs.sum() == pytest.approx(1.0, abs=1e-9)
             for sid in factors:
                 for beliefs in out.per_policy_beliefs[sid]:
@@ -298,8 +298,8 @@ class TestRunActiveInference:
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(5)
         factors, actions, observations = random_model(rng)
-        a = run_active_inference(factors, actions, observations)
-        b = run_active_inference(factors, actions, observations)
+        a = run_on_factors(factors, actions, observations)
+        b = run_on_factors(factors, actions, observations)
         assert a.chosen_action == b.chosen_action
         assert np.array_equal(a.policy_probs, b.policy_probs)
         assert np.array_equal(a.free_energy, b.free_energy)
@@ -311,7 +311,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(42)
         for _ in range(30):
             factors, actions, observations = random_model(rng)
-            out = run_active_inference(factors, actions, observations)
+            out = run_on_factors(factors, actions, observations)
             f_o, g_o, pi_o, avg_o = oracle.evaluate_model(
                 factors_to_oracle(factors), actions,
                 obs_to_oracle(observations))
@@ -329,7 +329,7 @@ class TestPreferenceMonotonicity:
         for _ in range(100):
             factors, actions, observations = random_model(rng, max_factors=1)
             (sid, fac), = factors.items()
-            out = run_active_inference(factors, actions, observations)
+            out = run_on_factors(factors, actions, observations)
             k = int(rng.integers(fac.m))
             # policy whose predicted outcome at the horizon favours k most
             masses = [fac.likelihood @ out.per_policy_beliefs[sid][p][-1]
@@ -341,5 +341,5 @@ class TestPreferenceMonotonicity:
             bumped[sid] = Factor(likelihood=fac.likelihood,
                                  transitions=fac.transitions,
                                  prior=fac.prior, preferences=c)
-            out2 = run_active_inference(bumped, actions, observations)
+            out2 = run_on_factors(bumped, actions, observations)
             assert out2.policy_probs[target] >= out.policy_probs[target] - 1e-12

@@ -257,6 +257,17 @@ MALFORMED = {
     "parameters-a-string": _set(("actions", 1, "parameters"), "shelf"),
     "parameters-a-mapping": _set(("actions", 1, "parameters"), {"shelf": 1}),
     "parameters-item-not-a-string": _set(("actions", 1, "parameters"), ["shelf", 2]),
+    # value labels are a list of strings: a string or a mapping would
+    # iterate as labels, and YAML reads unquoted yes/no as booleans
+    "values-string": _set(("states", 0, "values"), "open"),
+    "values-mapping": _set(("states", 0, "values"), {"a": 1, "b": 2}),
+    "values-not-strings": _set(("states", 0, "values"), [True, False]),
+    # names and ids are strings, never coerced with str()
+    "name-null": _set(("name",), None),
+    "name-a-list": _set(("name",), [1, 2]),
+    "action-name-a-number": lambda d: d["actions"].append({"name": 7}),
+    "state-id-a-number": lambda d: (d["states"].append({"id": 7, "values": ["a", "b"]}),
+                                    d["world"]["fluents"].update({7: 0})),
 }
 
 
