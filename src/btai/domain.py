@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .inference import CompiledModel, ModelError, check_stochastic_matrix, softmax
+from .inference import (CompiledModel, ModelError, check_stochastic_matrix, evidence,
+                        softmax)
 
 NOMINAL_PREFERENCE = 1.0
 PUSHED_PREFERENCE = 2.0
@@ -173,10 +174,6 @@ class StateRegistry:
         except KeyError:
             raise UnknownStateError(state_id) from None
 
-    def likelihood(self, state_id: str) -> np.ndarray:
-        # symbolic perception maps observations one-to-one onto states
-        return np.eye(self.get(state_id).m)
-
     def uniform_beliefs(self) -> dict[str, np.ndarray]:
         return {s.id: np.full(s.m, 1.0 / s.m) for s in self}
 
@@ -223,7 +220,8 @@ def update_beliefs(
     """One perception step on the episode's compiled ``model``: propagate each
     belief through the last action's transition (identity where the action
     did not act) and fold in the evidence of each observed value index
-    (None, or no entry, for a state without an observation)."""
+    (None, or no entry, for a state without an observation; an index
+    outside the state's values raises ModelError)."""
     for sid in observations:
         if sid not in model.states:
             raise UnknownStateError(sid)
@@ -241,7 +239,7 @@ def update_beliefs(
         _, _, log_b = state.transitions[last_action.name] if acted else state.identity
         v = log_b @ b
         if index is not None:
-            v = v + state.evidence(index)
+            v = v + evidence(state.identity[2], index)
         updated[sid] = softmax(v)
     return updated
 

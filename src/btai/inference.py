@@ -1,12 +1,14 @@
 """Discrete active-inference engine over factorized categorical state models.
 
-Each symbolic state is one independent factor with its own likelihood matrix
-``A`` (identity in this package), per-action transition matrices ``B``, prior
-belief ``D`` and log-preference vector ``C``.  Policies are one-step action
-sequences scored over a two-step horizon: per-policy posterior beliefs are
-obtained by iterated forward-backward softmax sweeps, policies are ranked by
-variational plus expected free energy, and the next action is read off the
-policy posterior.
+Each symbolic state is one independent factor with per-action transition
+matrices ``B``, a prior belief ``D`` and a log-preference vector ``C``.
+Perception is symbolic: each state is observed one-to-one, so the likelihood
+``A`` is the identity and is not an input.  An observed value is a value
+index, and its evidence is a row of log-I (see :func:`evidence`).  Policies
+are one-step action sequences scored over a two-step horizon: per-policy
+posterior beliefs are obtained by iterated forward-backward softmax sweeps,
+policies are ranked by variational free energy plus expected cost, and the
+next action is read off the policy posterior.
 """
 
 from __future__ import annotations
@@ -89,79 +91,78 @@ class Factor:
     :func:`btai.selector.compile_model`, from inputs validated at parse time.
     """
 
-    likelihood: np.ndarray                   # A, m x m
     transitions: Mapping[str, np.ndarray]    # action name -> B, m x m
     prior: np.ndarray                        # D, current belief, length m
     preferences: np.ndarray                  # C, log-preferences, length m
 
     def __post_init__(self):
-        a = check_stochastic_matrix(self.likelihood, "likelihood")
         d = check_categorical(self.prior, "prior belief")
         c = np.asarray(self.preferences, dtype=float)
         if not np.all(np.isfinite(c)):
             raise ModelError("preferences must be finite")
-        if c.shape != d.shape or a.shape[0] != d.shape[0]:
+        if c.shape != d.shape:
             raise ModelError("factor dimensions disagree")
         for name, b in self.transitions.items():
-            if check_stochastic_matrix(b, f"transition[{name}]").shape != a.shape:
+            if check_stochastic_matrix(b, f"transition[{name}]").shape != (d.size, d.size):
                 raise ModelError(f"transition[{name}] has wrong shape")
 
     @property
     def m(self) -> int:
-        return self.prior.shape[0]
+        return len(self.prior)
 
 
-def _check_observation(o, m: int):
-    if o is None:
-        return None
-    o = np.asarray(o, dtype=float)
-    if o.shape != (m,):
-        raise ModelError("observation length does not match state size")
-    return o
+def evidence(log_identity: np.ndarray, index) -> np.ndarray:
+    """Evidence of observed value ``index`` of a state whose interned log-I
+    is ``log_identity``: row ``index`` of log-I, 0 at the index and
+    ln(1e-16) elsewhere.  The likelihood A is the identity, and this row is
+    log-A.T applied to the observed outcome bit for bit, as every other
+    product in it is a signed zero.  A bool reads as its int; a non-integer
+    raises TypeError, an index outside [0, m) ModelError."""
+    k = operator.index(index)
+    if not 0 <= k < log_identity.shape[0]:
+        raise ModelError(f"observed value index {k} out of range for "
+                         f"m={log_identity.shape[0]}")
+    return log_identity[k]
 
 
 def update_posterior_states(
     transitions: Sequence[np.ndarray],
-    likelihood: np.ndarray,
     prior: np.ndarray,
-    observations: Sequence[Optional[np.ndarray]],
+    observations: Sequence[Optional[int]],
 ) -> list[np.ndarray]:
     """Policy-conditioned posterior beliefs [s_1, s_2] of a one-step policy
     over the two-step horizon :data:`DEFAULT_HORIZON`.
 
     ``transitions`` holds the policy's one transition matrix B and
-    ``observations`` the available one-hot outcomes of the two steps (None,
-    or left out, where there is none).  s_1 is the softmax of the log prior,
-    the backward message log(B).T @ s_2 and the observation evidence; s_2
-    the softmax of the forward message log(B) @ s_1 and its evidence.  Both
-    are swept in that order until the maximum absolute change drops below
-    1e-6 or 10 iterations elapse.
+    ``observations`` the observed value index of each of the two steps
+    (None, or left out, where there is none).  s_1 is the softmax of the log
+    prior, the backward message log(B).T @ s_2 and the observation's
+    :func:`evidence`; s_2 the softmax of the forward message log(B) @ s_1 and
+    its evidence.  Both are swept in that order until the maximum absolute
+    change drops below 1e-6 or 10 iterations elapse.
     """
     if len(transitions) != DEFAULT_HORIZON - 1:
         raise ModelError("need one transition matrix per policy step")
     if len(observations) > DEFAULT_HORIZON:
         raise ModelError("more observations than time steps")
-    a = np.asarray(likelihood, dtype=float)
     d = check_categorical(prior, "prior belief")
     m = d.shape[0]
-    if a.shape != (m, m):
-        raise ModelError("likelihood shape does not match state size")
-    o0, o1 = [_check_observation(o, m) for o in observations] + [None] * (
-        DEFAULT_HORIZON - len(observations))
+    log_i = _intern(np.eye(m))[2]
+    e0, e1 = [None if o is None else evidence(log_i, o)
+              for o in observations] + [None] * (DEFAULT_HORIZON - len(observations))
 
-    log_a = safe_log(a)
     log_b = safe_log(transitions[0])
     log_d = safe_log(d)
 
     s0 = s1 = np.full(m, 1.0 / m)
     for _ in range(MAX_SWEEPS):
         v = log_d + log_b.T @ s1
-        if o0 is not None:
-            v = v + log_a.T @ o0
+        if e0 is not None:
+            v = v + e0
         new0 = softmax(v)
         v = log_b @ new0
-        if o1 is not None:
-            v = v + log_a.T @ o1
+        if e1 is not None:
+            v = v + e1
         new1 = softmax(v)
         delta = max(float(np.max(np.abs(new0 - s0))), float(np.max(np.abs(new1 - s1))))
         s0, s1 = new0, new1
@@ -173,20 +174,19 @@ def update_posterior_states(
 def variational_free_energy(
     beliefs: Sequence[np.ndarray],
     transitions: Sequence[np.ndarray],
-    likelihood: np.ndarray,
     prior: np.ndarray,
-    observations: Sequence[Optional[np.ndarray]],
+    observations: Sequence[Optional[int]],
 ) -> float:
     """Policy-specific variational free energy accumulated over the horizon.
 
     Uses the same step conventions as :func:`update_posterior_states`: the
-    transition term at tau=1 is the log prior, and the observation term is
-    skipped for steps without an outcome.
+    transition term at tau=1 is the log prior, and the observation's
+    :func:`evidence` is skipped for steps without an observed value index.
     """
     horizon = len(beliefs)
     if len(transitions) != horizon - 1:
         raise ModelError("need one transition matrix per policy step")
-    log_a = safe_log(likelihood)
+    log_i = _intern(np.eye(len(prior)))[2]
     obs = list(observations) + [None] * (horizon - len(observations))
     total = 0.0
     for t in range(horizon):
@@ -197,33 +197,26 @@ def variational_free_energy(
         else:
             v = v - safe_log(transitions[t - 1]) @ beliefs[t - 1]
         if obs[t] is not None:
-            v = v - log_a.T @ np.asarray(obs[t], dtype=float)
+            v = v - evidence(log_i, obs[t])
         total += float(s @ v)
     return total
 
 
 def expected_free_energy(
     beliefs: Sequence[np.ndarray],
-    likelihood: np.ndarray,
     preferences: np.ndarray,
 ) -> float:
-    """Expected free energy over future steps: expected cost plus ambiguity.
-
-    For each tau past the current step, the predicted outcome o = A s is
-    scored against the log-preferences (cost) and against the conditional
-    outcome entropy encoded in A (ambiguity).
-    """
-    a = np.asarray(likelihood, dtype=float)
+    """Expected free energy over future steps: the expected cost
+    s . (ln s - C) of each tau past the current step.  With A the identity
+    the predicted outcome is the belief s itself, and the ambiguity term is
+    zero."""
     c = np.asarray(preferences, dtype=float)
-    if c.shape[0] != a.shape[0]:
-        raise ModelError("preference length does not match state size")
-    # ambiguity weights: column sums of A * ln A (zero entries contribute 0)
-    ambiguity = np.einsum("ij,ij->j", a, safe_log(a))
     total = 0.0
     for t in range(1, len(beliefs)):
         s = np.asarray(beliefs[t], dtype=float)
-        o = a @ s
-        total += float(o @ (safe_log(o) - c)) + float(s @ ambiguity)
+        if s.shape != c.shape:
+            raise ModelError("preference length does not match state size")
+        total += float(s @ (safe_log(s) - c))
     return total
 
 
@@ -311,26 +304,18 @@ def _intern(mat) -> tuple:
 
 
 class _StateModel:
-    """Compiled static part of one state factor: the likelihood entry (id,
-    A, log-A) and one transition entry (id, B, log-B) per acting action.
-    Every action without an entry shares the identity entry (id, I, log-I)."""
+    """Compiled static part of one state factor: the identity entry (id, I,
+    log-I) and one transition entry (id, B, log-B) per acting action.  Every
+    action without an entry shares the identity entry."""
 
-    __slots__ = ("key", "likelihood", "log_likelihood", "identity", "transitions")
+    __slots__ = ("identity", "transitions")
 
-    def __init__(self, likelihood: tuple, identity: tuple,
-                 transitions: dict[str, tuple]):
-        self.key, self.likelihood, self.log_likelihood = likelihood
+    def __init__(self, identity: tuple, transitions: dict[str, tuple]):
         self.identity = identity
         self.transitions = transitions
 
     def transition(self, action: str) -> tuple:
         return self.transitions.get(action, self.identity)
-
-    def evidence(self, index: int) -> np.ndarray:
-        """Evidence of observed value ``index``: row index of log-A, which is
-        log-A.T @ one-hot(index) bit for bit, as every other product in it is
-        a signed zero.  A bool reads as its int; a non-integer raises."""
-        return self.log_likelihood[operator.index(index)]
 
 
 # The process-wide memo of rounds, shared by every model, episode and
@@ -338,16 +323,17 @@ class _StateModel:
 # each state's part of a round and the terms that part is made of.  Every
 # key is content: a matrix id from _MATRICES, a vector's bytes, or an int.
 # Three kinds of key, told apart by their length:
-#   term, 4 slots: (A id, B id, bytes of D, observed value index or None)
+#   term, 3 slots: (B id, bytes of D, observed value index or None)
 #       -> (posterior beliefs [s_1, s_2], read-only; F)
 #   G, 2 slots: (term key, bytes of C) -> G
-#   row, 5 slots: (A id, bytes of D, observed value index or None, the
+#   row, 4 slots: (bytes of D, observed value index or None, the
 #       candidates' transition ids on the state, bytes of C)
 #       -> (F per candidate, G per candidate, beliefs per candidate,
 #           whether C is already satisfied)
-# D is the prior belief and C the preferences.  Values are sweep outputs and
-# floats, never a caller's array.  The memo holds at most TABLE_CAP entries
-# and is emptied when full; it takes no lock, since rounds run on one thread.
+# D is the prior belief and C the preferences.  A B id fixes the state's
+# size m, and with it I.  Values are sweep outputs and floats, never a
+# caller's array.  The memo holds at most TABLE_CAP entries and is emptied
+# when full; it takes no lock, since rounds run on one thread.
 _MEMO: dict[tuple, object] = {}
 
 
@@ -364,24 +350,24 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
     """One state's part of a round over ``actions`` under preferences ``c``,
     built from the memo's terms and G values and remembered under
     ``row_key`` (see :data:`_MEMO`), which holds the observed value index."""
-    _, d_key, index, _, c_key = row_key
-    a = state.likelihood
-    # the math functions take the observation as a one-hot vector
-    obs = [None if index is None else state.identity[1][index], None]
+    d_key, index, _, c_key = row_key
+    obs = [index, None]
     f_row, g_row, per_policy = [], [], []
     for action in actions:
         b_id, b, _ = state.transition(action)
-        key = (state.key, b_id, d_key, index)
+        key = (b_id, d_key, index)
         term = _MEMO.get(key)
         if term is None:
-            beliefs = update_posterior_states([b], a, prior, obs)
+            # by keyword: perfbench's sweep recorder reads prior and
+            # observations by name unless they sit at their old positions
+            beliefs = update_posterior_states([b], prior=prior, observations=obs)
             for belief in beliefs:
                 belief.flags.writeable = False
             term = _remember(key, (beliefs, variational_free_energy(
-                beliefs, [b], a, prior, obs)))
+                beliefs, [b], prior, obs)))
         g = _MEMO.get((key, c_key))
         if g is None:
-            g = _remember((key, c_key), expected_free_energy(term[0], a, c))
+            g = _remember((key, c_key), expected_free_energy(term[0], c))
         per_policy.append(term[0])
         f_row.append(term[1])
         g_row.append(g)
@@ -389,7 +375,7 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
     # exact argmax, lowest index on a tie (not logical_state's 1e-9 rule)
     belief = prior
     if index is not None:
-        belief = softmax(safe_log(prior) + state.evidence(index))
+        belief = softmax(safe_log(prior) + evidence(state.identity[2], index))
     satisfied = preferences_satisfied(int(np.argmax(belief)), c)
     return _remember(row_key, (tuple(f_row), tuple(g_row), tuple(per_policy), satisfied))
 
@@ -398,30 +384,29 @@ class CompiledModel:
     """Static part of a factorized generative model, prepared once per
     episode.
 
-    Per state it holds the likelihood A, the identity I and, per acting
-    action, the transition B, each with its log (see :class:`_StateModel`);
-    perception (:func:`btai.domain.update_beliefs`) reads the same entries.
-    The entries come from a process-wide intern table keyed by matrix
-    content, so equal matrices share one entry, and one id, across states,
-    models and episodes.  The inputs are trusted: they were validated where
-    they were parsed (scenario files) or constructed (:class:`Factor`).
-    Rounds on any model read and fill one memo (see the comment above
-    :data:`_MEMO`).
+    ``sizes`` maps each state to its number of values m, and ``transitions``
+    each state to the transition matrix B of every action that acts on it.
+    Per state the model holds the identity I and each B, with their logs
+    (see :class:`_StateModel`); perception (:func:`btai.domain.update_beliefs`)
+    reads the same entries.  The entries come from a process-wide intern
+    table keyed by matrix content, so equal matrices share one entry, and
+    one id, across states, models and episodes.  The inputs are trusted:
+    they were validated where they were parsed (scenario files) or
+    constructed (:class:`Factor`).  Rounds on any model read and fill one
+    memo (see the comment above :data:`_MEMO`).
     """
 
-    def __init__(self, likelihoods: Mapping[str, np.ndarray],
+    def __init__(self, sizes: Mapping[str, int],
                  transitions: Mapping[str, Mapping[str, np.ndarray]]):
-        self.states: dict[str, _StateModel] = {}
-        for sid, a in likelihoods.items():
-            a = _intern(a)
-            self.states[sid] = _StateModel(
-                a, _intern(np.eye(a[1].shape[0])),
-                {name: _intern(b) for name, b in transitions.get(sid, {}).items()})
+        self.states: dict[str, _StateModel] = {
+            sid: _StateModel(_intern(np.eye(m)), {
+                name: _intern(b) for name, b in transitions.get(sid, {}).items()})
+            for sid, m in sizes.items()}
 
     @classmethod
     def from_factors(cls, factors: Mapping[str, Factor]):
         """Compile self-contained factors; returns (model, beliefs, preferences)."""
-        model = cls({sid: f.likelihood for sid, f in factors.items()},
+        model = cls({sid: f.m for sid, f in factors.items()},
                     {sid: f.transitions for sid, f in factors.items()})
         return (model, {sid: f.prior for sid, f in factors.items()},
                 {sid: f.preferences for sid, f in factors.items()})
@@ -460,10 +445,11 @@ def run_active_inference(
         prior = np.asarray(beliefs[sid], dtype=float)
         index = observations.get(sid)
         if index is not None:
-            # 1.0 == 1 and both hash alike: only an int may key the memo
+            # 1.0 == 1 and both hash alike: only an int may key the memo.
+            # An index out of range keys no entry: evidence() raises first.
             index = operator.index(index)
         c = np.asarray(preferences[sid], dtype=float)
-        key = (state.key, prior.tobytes(), index,
+        key = (prior.tobytes(), index,
                tuple([state.transition(a)[0] for a in candidates]), c.tobytes())
         row = _MEMO.get(key)
         if row is None:

@@ -80,7 +80,8 @@ class Scenario:
 
 def _parse_predicate(raw, source) -> Predicate:
     try:
-        return Predicate(str(raw["state"]), strict_int(raw.get("index", 0), "index"))
+        return Predicate(strict_str(raw["state"], "state"),
+                         strict_int(raw.get("index", 0), "index"))
     except (KeyError, TypeError) as exc:
         raise ScenarioError(source, f"bad predicate entry {raw!r}") from exc
 
@@ -94,7 +95,8 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
     post = []
     for p in raw.get("post", []):
         try:
-            post.append((str(p["state"]), strict_int(p.get("index", 0), "index")))
+            post.append((strict_str(p["state"], "state"),
+                         strict_int(p.get("index", 0), "index")))
         except (KeyError, TypeError) as exc:
             raise ScenarioError(source, f"action {name}: bad postcondition {p!r}") from exc
     # two preconditions on one state ask for two values at once or repeat
@@ -177,7 +179,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         raise ScenarioError(source, "duplicate action names")
 
     world = data["world"]
-    fluents = {str(k): strict_int(v, f"world.fluents[{k}]")
+    fluents = {strict_str(k, "world.fluents key"): strict_int(v, f"world.fluents[{k}]")
                for k, v in world.get("fluents", {}).items()}
     for state in registry:
         if state.id not in fluents:
@@ -215,12 +217,12 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
             if not 0 <= idx < registry.get(sid).m:
                 raise ScenarioError(
                     source, f"perturbation at tick {at_tick}: index {idx} out of range for {sid}")
-            assignments.append((str(sid), idx))
+            assignments.append((sid, idx))
         obs_changes = []
         for sid, flag in raw.get("observable", {}).items():
             if sid not in registry:
                 raise ScenarioError(source, f"perturbation names unknown state {sid!r}")
-            obs_changes.append((str(sid), strict_bool(
+            obs_changes.append((sid, strict_bool(
                 flag, f"perturbation at tick {at_tick}: observable[{sid}]")))
         perturbations.append(PerturbationEvent(at_tick, tuple(assignments),
                                                tuple(obs_changes)))

@@ -41,7 +41,7 @@ def compile_model(registry: StateRegistry,
     """The planner's model of a domain whose actions were validated against
     ``registry`` (see :meth:`StateRegistry.validate_action`)."""
     return CompiledModel(
-        {s.id: registry.likelihood(s.id) for s in registry},
+        {s.id: s.m for s in registry},
         {s.id: {a.name: a.transitions[s.id] for a in actions if s.id in a.transitions}
          for s in registry},
     )

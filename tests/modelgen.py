@@ -13,25 +13,19 @@ def random_stochastic(rng, m):
     return np.column_stack([rng.dirichlet(np.ones(m)) for _ in range(m)])
 
 
-def random_factor(rng, m, action_names, identity_likelihood=True):
-    if identity_likelihood:
-        a = np.eye(m)
-    else:
-        a = random_stochastic(rng, m)
+def random_factor(rng, m, action_names):
     transitions = {}
     for name in action_names:
         if name != "Idle" and rng.random() < 0.8:
             transitions[name] = random_stochastic(rng, m)
     return Factor(
-        likelihood=a,
         transitions=transitions,
         prior=random_categorical(rng, m),
         preferences=rng.uniform(-2.0, 2.0, size=m),
     )
 
 
-def random_model(rng, max_m=4, max_actions=4, max_factors=3,
-                 identity_likelihood=True):
+def random_model(rng, max_m=4, max_actions=4, max_factors=3):
     """A random factorized model plus observations, for oracle comparison."""
     n_actions = int(rng.integers(1, max_actions + 1))
     actions = ["Idle"] + [f"act{i}" for i in range(n_actions - 1)]
@@ -41,7 +35,7 @@ def random_model(rng, max_m=4, max_actions=4, max_factors=3,
     for i in range(n_factors):
         m = int(rng.integers(2, max_m + 1))
         sid = f"s{i}"
-        factors[sid] = random_factor(rng, m, actions, identity_likelihood)
+        factors[sid] = random_factor(rng, m, actions)
         if rng.random() < 0.8:
             o = np.zeros(m)
             o[rng.integers(m)] = 1.0
@@ -52,11 +46,12 @@ def random_model(rng, max_m=4, max_actions=4, max_factors=3,
 
 
 def factors_to_oracle(factors):
-    """Convert package Factor objects to the plain-list oracle format."""
+    """Convert package Factor objects to the plain-list oracle format; the
+    likelihood ``a`` is the identity."""
     out = {}
     for sid, fac in factors.items():
         out[sid] = {
-            "a": [list(map(float, row)) for row in fac.likelihood],
+            "a": [list(map(float, row)) for row in np.eye(fac.m)],
             "b": {name: [list(map(float, row)) for row in b]
                   for name, b in fac.transitions.items()},
             "d": [float(x) for x in fac.prior],

@@ -55,7 +55,7 @@ def test_criterion_01_oracle_equivalence_on_200_random_models():
 
 def test_criterion_02_goal_seeking_example_reproduction():
     started = time.perf_counter()
-    factor = Factor(likelihood=np.eye(2), transitions={"moveTo": B_G},
+    factor = Factor(transitions={"moveTo": B_G},
                     prior=np.array([0.5, 0.5]),
                     preferences=np.array([1.0, 0.0]))
     out = run_on_factors({"g": factor}, ["Idle", "moveTo"],

@@ -26,6 +26,7 @@ from btai.episode import run_episode, write_trace
 from btai.inference import (
     CompiledModel,
     Factor,
+    ModelError,
     expected_free_energy,
     policy_posterior,
     run_active_inference,
@@ -39,22 +40,24 @@ from btai.scenario import parse_scenario, scenario_from_dict, shipped_scenario_p
 from btai.selector import compile_model
 
 
-def uncached_round(likelihoods, transitions, beliefs, preferences, actions,
-                   observations):
+def uncached_round(transitions, beliefs, preferences, actions, observations):
     """One selection round straight from the math functions, term by term,
-    with nothing shared between policies, factors or rounds."""
+    with nothing shared between policies, factors or rounds.  The states
+    are those of ``transitions``, in its order; ``observations`` holds
+    one-hot vectors."""
     f = np.zeros(len(actions))
     g = np.zeros(len(actions))
     satisfied = True
-    for sid, a in likelihoods.items():
+    indices = observed_indices(observations)
+    for sid in transitions:
         d, c, o = beliefs[sid], preferences[sid], observations.get(sid)
-        obs = [o, None]
+        obs = [indices.get(sid), None]
         for p, action in enumerate(actions):
             bs = [transitions[sid].get(action, np.eye(len(d)))]
-            s = update_posterior_states(bs, a, d, obs)
-            f[p] += variational_free_energy(s, bs, a, d, obs)
-            g[p] += expected_free_energy(s, a, c)
-        belief = d if o is None else softmax(safe_log(d) + safe_log(a).T @ o)
+            s = update_posterior_states(bs, d, obs)
+            f[p] += variational_free_energy(s, bs, d, obs)
+            g[p] += expected_free_energy(s, c)
+        belief = d if o is None else softmax(safe_log(d) + safe_log(np.eye(len(d))).T @ o)
         if c[int(np.argmax(belief))] < c.max() - 1e-12:
             satisfied = False
     pi = policy_posterior(f, g)
@@ -62,15 +65,14 @@ def uncached_round(likelihoods, transitions, beliefs, preferences, actions,
     return f, g, pi, chosen
 
 
-def _split(factors):
-    return ({sid: f.likelihood for sid, f in factors.items()},
-            {sid: f.transitions for sid, f in factors.items()})
+def _transitions(factors):
+    return {sid: f.transitions for sid, f in factors.items()}
 
 
-def _assert_round_equals_uncached(out, likelihoods, transitions, beliefs,
-                                  preferences, actions, observations):
-    f, g, pi, chosen = uncached_round(likelihoods, transitions, beliefs,
-                                      preferences, actions, observations)
+def _assert_round_equals_uncached(out, transitions, beliefs, preferences,
+                                  actions, observations):
+    f, g, pi, chosen = uncached_round(transitions, beliefs, preferences,
+                                      actions, observations)
     assert np.array_equal(out.free_energy, f)
     assert np.array_equal(out.expected_free_energy, g)
     assert np.array_equal(out.policy_probs, pi)
@@ -78,13 +80,11 @@ def _assert_round_equals_uncached(out, likelihoods, transitions, beliefs,
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans(),
-       rounds=st.integers(1, 8))
-def test_memoized_rounds_equal_uncached_evaluation(seed, identity, rounds):
+@given(seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(1, 8))
+def test_memoized_rounds_equal_uncached_evaluation(seed, rounds):
     rng = np.random.default_rng(seed)
-    factors, actions, observations = random_model(
-        rng, identity_likelihood=identity)
-    likelihoods, transitions = _split(factors)
+    factors, actions, observations = random_model(rng)
+    transitions = _transitions(factors)
     model, beliefs, base_c = CompiledModel.from_factors(factors)
     # small pools, so that later rounds revisit earlier keys; uniform
     # beliefs make states of equal size share memo entries
@@ -104,7 +104,7 @@ def test_memoized_rounds_equal_uncached_evaluation(seed, identity, rounds):
         candidates = [str(u) for u in rng.permutation(actions)[:k]]
         out = run_active_inference(model, candidates, observed_indices(observations),
                                    d, c)
-        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+        _assert_round_equals_uncached(out, transitions, d, c,
                                       candidates, observations)
 
 
@@ -113,14 +113,13 @@ def test_models_with_equal_action_names_keep_their_own_terms():
     d = {"s": rng.dirichlet(np.ones(3))}
     c = {"s": np.array([0.0, 1.0, 0.0])}
     o = {"s": np.eye(3)[2]}
-    likelihoods = {"s": np.eye(3)}
     outcomes = []
     for _ in range(3):
         # same state, same action names, a different B for each model
         transitions = {"s": {"act": random_stochastic(rng, 3)}}
-        model = CompiledModel(likelihoods, transitions)
+        model = CompiledModel({"s": 3}, transitions)
         out = run_active_inference(model, ["Idle", "act"], observed_indices(o), d, c)
-        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+        _assert_round_equals_uncached(out, transitions, d, c,
                                       ["Idle", "act"], o)
         outcomes.append(out.expected_free_energy[1])
     assert len(set(outcomes)) == 3
@@ -130,11 +129,11 @@ def test_models_with_equal_action_names_keep_their_own_terms():
 @given(seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(2, 10))
 def test_rows_follow_candidate_order_and_pushes(seed, rounds):
     rng = np.random.default_rng(seed)
-    # two-valued states with identity likelihoods and uniform beliefs share
-    # terms wherever their observations agree, while their transitions
-    # differ under the same action names
+    # two-valued states with uniform beliefs share terms wherever their
+    # observations agree, while their transitions differ under the same
+    # action names
     factors, actions, observations = random_model(rng, max_m=2, max_factors=4)
-    likelihoods, transitions = _split(factors)
+    transitions = _transitions(factors)
     model, _, c = CompiledModel.from_factors(factors)
     d = {sid: np.full(2, 0.5) for sid in factors}
     candidates = list(actions)
@@ -149,30 +148,29 @@ def test_rows_follow_candidate_order_and_pushes(seed, rounds):
             c = {**c, sid: pushed}
         out = run_active_inference(model, candidates, observed_indices(observations),
                                    d, c)
-        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+        _assert_round_equals_uncached(out, transitions, d, c,
                                       candidates, observations)
 
 
 def _rows() -> list[tuple]:
-    """The row keys of the memo: the only keys with five slots."""
-    return [key for key in inference._MEMO if len(key) == 5]
+    """The row keys of the memo: the only keys with four slots."""
+    return [key for key in inference._MEMO if len(key) == 4]
 
 
 def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
     monkeypatch.setattr(inference, "_MEMO", {})
     rng = np.random.default_rng(5)
-    # same A, belief, observation and C, so the states share every term of
-    # the identity; the same action name moves each state differently
-    likelihoods = {"s": np.eye(2), "t": np.eye(2)}
+    # same size, belief, observation and C, so the states share every term
+    # of the identity; the same action name moves each state differently
     transitions = {"s": {"act": random_stochastic(rng, 2)},
                    "t": {"act": random_stochastic(rng, 2)}}
     d = {"s": np.array([0.3, 0.7]), "t": np.array([0.3, 0.7])}
     o = {"s": np.array([1.0, 0.0]), "t": np.array([1.0, 0.0])}
     c = {"s": np.array([0.0, 1.0]), "t": np.array([0.0, 1.0])}
-    model = CompiledModel(likelihoods, transitions)
+    model = CompiledModel({"s": 2, "t": 2}, transitions)
     for candidates in (["Idle", "act"], ["act", "Idle"], ["act"]):
         out = run_active_inference(model, candidates, observed_indices(o), d, c)
-        _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+        _assert_round_equals_uncached(out, transitions, d, c,
                                       candidates, o)
     assert len(_rows()) == 6
 
@@ -181,15 +179,14 @@ def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
     monkeypatch.setattr(inference, "_MEMO", {})
     rng = np.random.default_rng(8)
     for _ in range(10):
-        factors, actions, observations = random_model(rng, identity_likelihood=False)
+        factors, actions, observations = random_model(rng)
         model, beliefs, c = CompiledModel.from_factors(factors)
         first = run_active_inference(model, actions, observed_indices(observations),
                                      beliefs, c)
         size = len(inference._MEMO)
         # each episode compiles its own model; copies of every array make
         # sure that only content links the two
-        copies = {sid: Factor(f.likelihood.copy(),
-                              {name: b.copy() for name, b in f.transitions.items()},
+        copies = {sid: Factor({name: b.copy() for name, b in f.transitions.items()},
                               f.prior.copy(), f.preferences.copy())
                   for sid, f in factors.items()}
         fresh, beliefs, c = CompiledModel.from_factors(copies)
@@ -205,11 +202,10 @@ def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
     checked = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        factors, actions, observations = random_model(
-            rng, identity_likelihood=False)
+        factors, actions, observations = random_model(rng)
         if len(actions) < 2:
             continue
-        likelihoods, transitions = _split(factors)
+        transitions = _transitions(factors)
         model, beliefs, c = CompiledModel.from_factors(factors)
         d = {sid: b.copy() for sid, b in beliefs.items()}
         o = {sid: None if x is None else x.copy() for sid, x in observations.items()}
@@ -223,7 +219,7 @@ def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
         # a later round on the original values evaluates the other terms
         out = run_active_inference(model, actions, observed_indices(observations),
                                    beliefs, c)
-        _assert_round_equals_uncached(out, likelihoods, transitions, beliefs, c,
+        _assert_round_equals_uncached(out, transitions, beliefs, c,
                                       actions, observations)
         checked += 1
     assert checked >= 5
@@ -233,17 +229,16 @@ def test_rounds_with_equal_transitions_share_rows(monkeypatch):
     monkeypatch.setattr(inference, "_MEMO", {})
     rng = np.random.default_rng(13)
     b = random_stochastic(rng, 3)
-    likelihoods = {"s": np.eye(3), "t": random_stochastic(rng, 2)}
     # "twin" moves every state as "act" does; neither "Idle" nor "wait" acts
     transitions = {"s": {"act": b, "twin": b.copy()}, "t": {}}
     d = {"s": rng.dirichlet(np.ones(3)), "t": np.array([0.4, 0.6])}
     o = {"s": np.eye(3)[1], "t": None}
     c = {"s": np.array([0.0, 0.0, 2.0]), "t": np.array([1.0, 0.0])}
-    model = CompiledModel(likelihoods, transitions)
+    model = CompiledModel({"s": 3, "t": 2}, transitions)
     first = run_active_inference(model, ["Idle", "act"], observed_indices(o), d, c)
     size = len(inference._MEMO)
     again = run_active_inference(model, ["wait", "twin"], observed_indices(o), d, c)
-    _assert_round_equals_uncached(again, likelihoods, transitions, d, c,
+    _assert_round_equals_uncached(again, transitions, d, c,
                                   ["wait", "twin"], o)
     assert len(inference._MEMO) == size
     assert np.array_equal(again.policy_probs, first.policy_probs)
@@ -269,7 +264,7 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
     first_model = CompiledModel.from_factors(first[0])
     for i in range(80):
         factors, actions, observations = first if i % 10 == 0 else random_model(rng)
-        likelihoods, transitions = _split(factors)
+        transitions = _transitions(factors)
         model, beliefs, c = (first_model if i % 10 == 0
                              else CompiledModel.from_factors(factors))
         # revisit a few beliefs, so that later rounds hit earlier keys
@@ -280,7 +275,7 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
             candidates = [str(u) for u in rng.permutation(actions)[:k]]
             out = run_active_inference(model, candidates, observed_indices(observations),
                                        d, c)
-            _assert_round_equals_uncached(out, likelihoods, transitions, d, c,
+            _assert_round_equals_uncached(out, transitions, d, c,
                                           candidates, observations)
             assert len(inference._MEMO) <= cap
             assert len(inference._MATRICES) <= cap
@@ -331,15 +326,14 @@ def test_factor_round_after_episode_reads_the_episode_terms(monkeypatch):
     sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))
     result = run_episode(sc)
     registry = sc.registry()
-    likelihoods = {s.id: registry.likelihood(s.id) for s in registry}
     transitions = {s.id: {a.name: a.transitions[s.id] for a in sc.actions
                           if s.id in a.transitions} for s in registry}
     sweeps = []
     sweep = inference.update_posterior_states
 
-    def counting_sweep(*args):
+    def counting_sweep(*args, **kwargs):
         sweeps.append(1)
-        return sweep(*args)
+        return sweep(*args, **kwargs)
 
     monkeypatch.setattr(inference, "update_posterior_states", counting_sweep)
     rounds = 0
@@ -351,10 +345,10 @@ def test_factor_round_after_episode_reads_the_episode_terms(monkeypatch):
         for verdict in record["selector"]:
             for call in verdict["calls"]:
                 c = {sid: np.array(v) for sid, v in call["preferences"].items()}
-                factors = {sid: Factor(likelihoods[sid], transitions[sid],
-                                       beliefs[sid], c[sid]) for sid in likelihoods}
+                factors = {sid: Factor(transitions[sid], beliefs[sid], c[sid])
+                           for sid in transitions}
                 out = run_on_factors(factors, call["candidates"], observations)
-                _assert_round_equals_uncached(out, likelihoods, transitions, beliefs,
+                _assert_round_equals_uncached(out, transitions, beliefs,
                                               c, call["candidates"], observations)
                 assert out.free_energy.tolist() == call["F"]
                 assert out.expected_free_energy.tolist() == call["G"]
@@ -417,22 +411,21 @@ def test_update_beliefs_equals_term_by_term_formula(seed):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_perception_evidence_is_the_likelihood_product(seed):
-    # update_beliefs reads the evidence of index k as row k of log-A; it
-    # must equal log-A.T @ one-hot(k) bit for bit, also for a noisy A whose
-    # columns may hold exact zeros and ones
+    # the likelihood is the identity: update_beliefs reads the evidence of
+    # index k as row k of log-I, which must equal log-I.T @ one-hot(k) bit
+    # for bit
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 5))
-    a = random_stochastic(rng, m)
-    for col in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
-        a[:, col] = np.eye(m)[int(rng.integers(m))]
     b = random_stochastic(rng, m)
     act = ActionTemplate("act", transitions={"s": b})
-    model = CompiledModel({"s": a}, {"s": {"act": b}})
+    model = CompiledModel({"s": m}, {"s": {"act": b}})
     belief = rng.dirichlet(np.ones(m))
+    if rng.random() < 0.3:
+        belief = np.eye(m)[int(rng.integers(m))]
     for k in range(m):
         for last in (None, act):
             want = softmax(safe_log(np.eye(m) if last is None else b) @ belief
-                           + safe_log(a).T @ np.eye(m)[k])
+                           + safe_log(np.eye(m)).T @ np.eye(m)[k])
             out = update_beliefs({"s": belief}, {"s": k}, last, model)
             assert out["s"].tobytes() == want.tobytes(), (k, last)
 
@@ -456,7 +449,7 @@ def test_a_non_integer_index_raises(index):
 
 def _index_round(index):
     """A round on one two-valued state that observes value ``index``."""
-    model = CompiledModel({"s": np.eye(2)},
+    model = CompiledModel({"s": 2},
                           {"s": {"act": np.array([[0.95, 0.9], [0.05, 0.1]])}})
     return run_active_inference(model, ["Idle", "act"], {"s": index},
                                 {"s": np.array([0.4, 0.6])}, {"s": np.array([1.0, 0.0])})
@@ -479,7 +472,7 @@ def test_an_integer_like_observation_is_planned_as_its_int_value(monkeypatch, in
     _assert_same_round(_index_round(index), want)   # cold
     _assert_same_round(_index_round(index), want)   # warm
     # the memo keys the observation slot by the int itself
-    assert [type(key[2]) for key in _rows()] == [int]
+    assert [type(key[1]) for key in _rows()] == [int]
 
 
 @pytest.mark.parametrize("index", [1.0, "1"])
@@ -491,6 +484,24 @@ def test_a_non_integer_observation_raises_cold_and_warm(monkeypatch, index):
     # 1.0 == 1 and both hash alike, yet 1.0 must not read the row of 1
     with pytest.raises(TypeError):
         _index_round(index)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_an_out_of_range_index_raises_cold_and_warm(monkeypatch, index):
+    # numpy would read -1 as the last value and raise IndexError for 2
+    monkeypatch.setattr(inference, "_MEMO", {})
+    registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
+    model = compile_model(registry, [ActionTemplate("Idle")])
+    d = {"s": np.array([0.4, 0.6])}
+    for _ in range(2):
+        with pytest.raises(ModelError, match="out of range"):
+            _index_round(index)
+        with pytest.raises(ModelError, match="out of range"):
+            update_beliefs(d, {"s": index}, None, model)
+        # a round with a valid index warms the memo for the second pass
+        _index_round(1)
+        assert _rows()
+    assert all(key[1] == 1 for key in _rows())
 
 
 @pytest.mark.parametrize("name", ["scenario_1.yaml", "bt_classic_27.yaml"])

@@ -70,9 +70,6 @@ class TestRegistry:
         beliefs = make_registry().uniform_beliefs()
         assert beliefs["isAt"] == pytest.approx([0.5, 0.5])
 
-    def test_likelihood_is_identity(self):
-        assert make_registry().likelihood("isAt") == pytest.approx(np.eye(2))
-
 
 class TestActionValidation:
     def test_good_action(self):

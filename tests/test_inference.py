@@ -96,53 +96,54 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_prior_rejected(self, bad):
         with pytest.raises(ModelError, match="prior"):
-            Factor(likelihood=I2, transitions={}, prior=np.array([bad, 0.5]),
+            Factor(transitions={}, prior=np.array([bad, 0.5]),
                    preferences=np.zeros(2))
         with pytest.raises(ModelError, match="prior"):
-            update_posterior_states([I2], I2, [0.5, bad], [None])
+            update_posterior_states([I2], [0.5, bad], [None])
 
 
 class TestUpdatePosteriorStates:
     def test_observed_miss_with_move_dynamics(self):
-        s = update_posterior_states([B_G], I2, [0.5, 0.5], [[0.0, 1.0]])
+        s = update_posterior_states([B_G], [0.5, 0.5], [1])
         assert s[0][1] == pytest.approx(1.0, abs=1e-9)
         assert s[0][0] < 1e-12
         assert s[1] == pytest.approx([0.9, 0.1], abs=1e-6)
 
     def test_identity_preserves_delta(self):
-        s = update_posterior_states([I2], I2, [1.0, 0.0], [[1.0, 0.0]])
+        s = update_posterior_states([I2], [1.0, 0.0], [0])
         assert s[0] == pytest.approx([1.0, 0.0], abs=1e-9)
         assert s[1] == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_no_evidence_stays_uniform(self):
-        s = update_posterior_states([I2], I2, [0.5, 0.5], [None])
+        s = update_posterior_states([I2], [0.5, 0.5], [None])
         assert s[0] == pytest.approx([0.5, 0.5])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ModelError):
-            update_posterior_states([B_G], I2, [0.5, 0.5], [[1.0, 0.0, 0.0]])
+    def test_out_of_range_index(self):
+        s = update_posterior_states([B_G], [0.5, 0.5], [None, None])
+        for obs in ([2], [-1], [None, 2], [0, -1]):
+            with pytest.raises(ModelError, match="out of range"):
+                update_posterior_states([B_G], [0.5, 0.5], obs)
+            with pytest.raises(ModelError, match="out of range"):
+                variational_free_energy(s, [B_G], [0.5, 0.5], obs)
 
     def test_wrong_transition_count(self):
         with pytest.raises(ModelError):
-            update_posterior_states([], I2, [0.5, 0.5], [[1.0, 0.0]])
+            update_posterior_states([], [0.5, 0.5], [1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 4),
-       kinds=st.tuples(*[st.sampled_from([None, "one-hot", "soft"])] * 2),
-       short=st.booleans())
-def test_sweep_matches_oracle_with_both_observation_slots(seed, m, kinds, short):
+       observed=st.tuples(st.booleans(), st.booleans()), short=st.booleans())
+def test_sweep_matches_oracle_with_both_observation_slots(seed, m, observed, short):
     rng = np.random.default_rng(seed)
-    a, b, d = random_stochastic(rng, m), random_stochastic(rng, m), random_categorical(rng, m)
-    obs = [None if kind is None
-           else np.eye(m)[rng.integers(m)] if kind == "one-hot"
-           else random_categorical(rng, m) for kind in kinds]
+    b, d = random_stochastic(rng, m), random_categorical(rng, m)
+    obs = [int(rng.integers(m)) if seen else None for seen in observed]
     if short and obs[1] is None:
         obs = obs[:1]  # a missing last observation counts as None
-    s = update_posterior_states([b], a, d, obs)
-    f = variational_free_energy(s, [b], a, d, obs)
-    bs_o, a_o, d_o = [b.tolist()], a.tolist(), d.tolist()
-    obs_o = [None if o is None else o.tolist() for o in obs]
+    s = update_posterior_states([b], d, obs)
+    f = variational_free_energy(s, [b], d, obs)
+    bs_o, a_o, d_o = [b.tolist()], np.eye(m).tolist(), d.tolist()
+    obs_o = [None if o is None else np.eye(m)[o].tolist() for o in obs]
     s_o = oracle.posterior_states(bs_o, a_o, d_o, obs_o)
     assert len(s) == len(s_o) == 2
     for got, want in zip(s, s_o):
@@ -153,17 +154,17 @@ def test_sweep_matches_oracle_with_both_observation_slots(seed, m, kinds, short)
 class TestFreeEnergy:
     def test_perfect_fit_near_zero(self):
         delta = [1.0, 0.0]
-        f = variational_free_energy([np.array(delta)], [], I2, delta, [[1.0, 0.0]])
+        f = variational_free_energy([np.array(delta)], [], delta, [0])
         assert abs(f) < 1e-6
 
     def test_uniform_self_is_zero(self):
-        f = variational_free_energy([np.full(2, 0.5)], [], I2, [0.5, 0.5], [None])
+        f = variational_free_energy([np.full(2, 0.5)], [], [0.5, 0.5], [None])
         assert f == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_oracle_on_example_inputs(self):
         obs = [[0.0, 1.0]]
-        s = update_posterior_states([B_G], I2, [0.5, 0.5], obs)
-        f = variational_free_energy(s, [B_G], I2, [0.5, 0.5], obs)
+        s = update_posterior_states([B_G], [0.5, 0.5], [1])
+        f = variational_free_energy(s, [B_G], [0.5, 0.5], [1])
         s_o = oracle.posterior_states([B_G.tolist()], I2.tolist(), [0.5, 0.5], obs)
         f_o = oracle.free_energy(s_o, [B_G.tolist()], I2.tolist(), [0.5, 0.5], obs)
         assert f == pytest.approx(f_o, abs=1e-9)
@@ -172,22 +173,55 @@ class TestFreeEnergy:
 class TestExpectedFreeEnergy:
     def test_goal_progress_value(self):
         g = expected_free_energy([np.array([0.0, 1.0]), np.array([0.9, 0.1])],
-                                 I2, [1.0, 0.0])
+                                 [1.0, 0.0])
         assert g == pytest.approx(-1.2251, abs=1e-3)
 
     def test_idle_policy_value(self):
         g = expected_free_energy([np.array([0.0, 1.0]), np.array([1e-16, 1.0])],
-                                 I2, [1.0, 0.0])
+                                 [1.0, 0.0])
         assert g == pytest.approx(0.0, abs=1e-6)
 
     def test_matched_preferences_zero(self):
         s2 = np.array([0.3, 0.7])
-        g = expected_free_energy([s2, s2], I2, safe_log(s2))
+        g = expected_free_energy([s2, s2], safe_log(s2))
         assert g == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ModelError):
-            expected_free_energy([np.full(2, 0.5)] * 2, I2, [1.0, 0.0, 0.0])
+            expected_free_energy([np.full(2, 0.5)] * 2, [1.0, 0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 4),
+       horizon=st.integers(1, 3),
+       zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
+def test_expected_free_energy_equals_the_general_formula_bitwise(seed, m, horizon, zeros):
+    # the general G with the likelihood A = I: o = A s, then cost plus
+    # ambiguity, in the grouping the planner used before A was dropped
+    rng = np.random.default_rng(seed)
+    beliefs = []
+    for _ in range(horizon):
+        kind = rng.integers(3)
+        if kind == 0:
+            s = np.eye(m)[int(rng.integers(m))]              # exact zeros and a one
+        elif kind == 1:
+            s = rng.dirichlet(np.ones(m))
+            s[int(rng.integers(m))] = 0.0
+            s = s / s.sum()                                  # one exact zero
+        else:
+            s = rng.dirichlet(np.ones(m))
+        beliefs.append(s)
+    c = rng.uniform(-2.0, 2.0, size=m)
+    for i in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
+        c[i] = zeros[i]                                      # signed zeros
+    a = np.eye(m)
+    ambiguity = np.einsum("ij,ij->j", a, safe_log(a))
+    want = 0.0
+    for s in beliefs[1:]:
+        o = a @ s
+        want += float(o @ (safe_log(o) - c)) + float(s @ ambiguity)
+    got = expected_free_energy(beliefs, c)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestPolicyPosterior:
@@ -238,11 +272,20 @@ class TestSelectAction:
 
 
 def example1_factor(preferences=(1.0, 0.0), prior=(0.5, 0.5)):
-    return Factor(likelihood=I2, transitions={"moveTo": B_G},
+    return Factor(transitions={"moveTo": B_G},
                   prior=np.array(prior), preferences=np.array(preferences))
 
 
 class TestRunActiveInference:
+    def test_factor_of_lists(self):
+        # Factor validates lists as it does arrays; compiling reads m from them
+        factor = Factor(transitions={"moveTo": B_G.tolist()}, prior=[0.5, 0.5],
+                        preferences=[1.0, 0.0])
+        out = run_on_factors({"g": factor}, ["Idle", "moveTo"], {"g": [0.0, 1.0]})
+        want = run_on_factors({"g": example1_factor()}, ["Idle", "moveTo"],
+                              {"g": [0.0, 1.0]})
+        assert out.policy_probs.tobytes() == want.policy_probs.tobytes()
+
     def test_example_goal_not_reached_chooses_move(self):
         out = run_on_factors({"g": example1_factor()},
                              ["Idle", "moveTo"], {"g": [0.0, 1.0]})
@@ -331,15 +374,14 @@ class TestPreferenceMonotonicity:
             (sid, fac), = factors.items()
             out = run_on_factors(factors, actions, observations)
             k = int(rng.integers(fac.m))
-            # policy whose predicted outcome at the horizon favours k most
-            masses = [fac.likelihood @ out.per_policy_beliefs[sid][p][-1]
-                      for p in range(len(actions))]
+            # policy whose predicted outcome at the horizon (A = I: the
+            # belief itself) favours k most
+            masses = [out.per_policy_beliefs[sid][p][-1] for p in range(len(actions))]
             target = int(np.argmax([m[k] for m in masses]))
             bumped = dict(factors)
             c = np.array(fac.preferences, dtype=float)
             c[k] += float(rng.uniform(0.1, 2.0))
-            bumped[sid] = Factor(likelihood=fac.likelihood,
-                                 transitions=fac.transitions,
+            bumped[sid] = Factor(transitions=fac.transitions,
                                  prior=fac.prior, preferences=c)
             out2 = run_on_factors(bumped, actions, observations)
             assert out2.policy_probs[target] >= out.policy_probs[target] - 1e-12

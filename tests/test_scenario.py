@@ -180,6 +180,16 @@ def _prior_target(data):
     return data["bt"]["reactive_sequence"][0]["prior"]["targets"][0]
 
 
+def _state_seven(fluent_key, edit=lambda d: None):
+    """Add a state with the id "7" under fluent key ``fluent_key``, then
+    apply ``edit``."""
+    def apply(data):
+        data["states"].append({"id": "7", "values": ["a", "b"]})
+        data["world"]["fluents"][fluent_key] = 0
+        edit(data)
+    return apply
+
+
 # each edit makes scenario_1 malformed: loading it must raise ScenarioError
 # and make the CLI exit 3, whichever check catches it
 MALFORMED = {
@@ -268,6 +278,12 @@ MALFORMED = {
     "action-name-a-number": lambda d: d["actions"].append({"name": 7}),
     "state-id-a-number": lambda d: (d["states"].append({"id": 7, "values": ["a", "b"]}),
                                     d["world"]["fluents"].update({7: 0})),
+    # a state reference is a string too: the int 7 does not name the state "7"
+    "fluent-key-a-number": _state_seven(7),
+    "pre-state-a-number": _state_seven("7", lambda d: d["actions"][3]["pre"].append(
+        {"state": 7, "index": 0})),
+    "post-state-a-number": _state_seven("7", lambda d: d["actions"][1]["post"].append(
+        {"state": 7, "index": 1})),
 }
 
 
