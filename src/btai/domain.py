@@ -185,8 +185,13 @@ class StateRegistry:
                 f"out of range for m={state.m}")
 
     def validate_action(self, action: ActionTemplate):
+        """Check ``action`` against the states; every DomainError it raises
+        starts with ``action <name>:``."""
         for pred in action.preconditions:
-            self.validate_predicate(pred)
+            try:
+                self.validate_predicate(pred)
+            except DomainError as exc:
+                raise DomainError(f"action {action.name}: {exc}") from exc
         post = dict(action.postconditions)
         for sid, idx in action.postconditions:
             state = self.get(sid)
@@ -195,7 +200,7 @@ class StateRegistry:
         for sid, b in action.transitions.items():
             state = self.get(sid)
             try:
-                mat = check_stochastic_matrix(b, f"{action.name} transition[{sid}]")
+                mat = check_stochastic_matrix(b, f"action {action.name}: transition[{sid}]")
             except ModelError as exc:
                 raise DomainError(str(exc)) from exc
             if mat.shape[0] != state.m:

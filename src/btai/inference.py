@@ -28,9 +28,9 @@ DEFAULT_HORIZON = 2
 #: how far a probability may stray from [0, 1], or a distribution's sum from 1
 PROB_TOL = 1e-9
 IDLE = "Idle"
-#: most entries each process-wide table holds: the interned matrices, and the
-#: terms, G values and rows of the memo together.  A full table is emptied
-#: before its next insert.
+#: most entries each process-wide table holds: the interned matrices, the
+#: terms, G values and rows of the memo together, and the rounds.  A full
+#: table is emptied before its next insert.
 TABLE_CAP = 4096
 
 
@@ -240,9 +240,10 @@ def bayesian_model_average(policy_probs, per_policy_beliefs) -> np.ndarray:
     return pi @ stacked
 
 
-def select_action(policy_probs, candidates: Sequence[str]) -> str:
+def select_action(policy_probs, candidates: Sequence):
     """The candidate whose one-step policy is the most likely; an exact tie
-    goes to the candidate listed first."""
+    goes to the candidate listed first.  Rounds pass ``range(n)`` to get
+    the index."""
     pi = np.asarray(policy_probs, dtype=float)
     if pi.size == 0 or len(candidates) != pi.size:
         raise NoPoliciesError("need one probability per candidate")
@@ -252,7 +253,9 @@ def select_action(policy_probs, candidates: Sequence[str]) -> str:
 @dataclass
 class InferenceOutcome:
     """Everything one action-selection round produced; policy ``p`` is the
-    one-step policy of the round's candidate ``p``."""
+    one-step policy of the round's candidate ``p``.  The three vectors are
+    read-only views of one buffer that every round with the same rows
+    shares (see :data:`_ROUNDS`)."""
 
     policy_probs: np.ndarray
     free_energy: np.ndarray
@@ -329,12 +332,25 @@ class _StateModel:
 #   row, 4 slots: (bytes of D, observed value index or None, the
 #       candidates' transition ids on the state, bytes of C)
 #       -> (F per candidate, G per candidate, beliefs per candidate,
-#           whether C is already satisfied)
+#           whether C is already satisfied, serial)
 # D is the prior belief and C the preferences.  A B id fixes the state's
 # size m, and with it I.  Values are sweep outputs and floats, never a
 # caller's array.  The memo holds at most TABLE_CAP entries and is emptied
 # when full; it takes no lock, since rounds run on one thread.
 _MEMO: dict[tuple, object] = {}
+# A row's serial comes from a counter and is never reused, so it names the
+# row's content for the life of the process, like a matrix id.
+_ROW_SERIALS = itertools.count()
+# The process-wide table of whole rounds.  A round is a function of its
+# rows, so it is keyed by (number of candidates, then each row's serial in
+# model order; the count tells apart rounds of a model without states)
+# -> the float64 bytes of F | G | policy posterior | the index of the
+# chosen candidate, or -1 for Idle.  One bytes object, not an array
+# and an int in a tuple: a full table holds 4096 entries, and this saves
+# about 130 B on each.  An index, not a name: rows are keyed by
+# transitions, so rounds over different names share an entry.  At most
+# TABLE_CAP entries; emptied when full.
+_ROUNDS: dict[tuple, bytes] = {}
 
 
 def _remember(key: tuple, value):
@@ -377,7 +393,29 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
     if index is not None:
         belief = softmax(safe_log(prior) + evidence(state.identity[2], index))
     satisfied = preferences_satisfied(int(np.argmax(belief)), c)
-    return _remember(row_key, (tuple(f_row), tuple(g_row), tuple(per_policy), satisfied))
+    return _remember(row_key, (tuple(f_row), tuple(g_row), tuple(per_policy), satisfied,
+                               next(_ROW_SERIALS)))
+
+
+def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:
+    """The :data:`_ROUNDS` entry of a round over ``n`` candidates made of
+    ``rows``, stored under ``round_key``.  The rows are added state by state
+    in model order, then candidate by candidate: the order of an uncached
+    round's additions, so the sums are bit-identical.  The sums stay lazy
+    until the last row is in.  A round is Idle when every row is satisfied."""
+    f_total = g_total = (0.0,) * n
+    satisfied = True
+    for f_row, g_row, _, state_satisfied, _ in rows:
+        f_total = map(operator.add, f_total, f_row)
+        g_total = map(operator.add, g_total, g_row)
+        satisfied = satisfied and state_satisfied
+    f, g = np.array(list(f_total)), np.array(list(g_total))
+    pi = policy_posterior(f, g)
+    chosen = -1 if satisfied else select_action(pi, range(n))
+    if len(_ROUNDS) >= TABLE_CAP:
+        _ROUNDS.clear()
+    packed = _ROUNDS[round_key] = np.concatenate((f, g, pi, [chosen])).tobytes()
+    return packed
 
 
 class CompiledModel:
@@ -402,6 +440,18 @@ class CompiledModel:
             sid: _StateModel(_intern(np.eye(m)), {
                 name: _intern(b) for name, b in transitions.get(sid, {}).items()})
             for sid, m in sizes.items()}
+        self._ids: dict[tuple, tuple] = {}
+
+    def transition_ids(self, candidates: tuple) -> tuple:
+        """Per state in model order, the tuple of ``candidates``' transition
+        ids on it (a row key's third slot), built once per candidates tuple
+        for the life of the model, one episode."""
+        ids = self._ids.get(candidates)
+        if ids is None:
+            ids = self._ids[candidates] = tuple(
+                tuple([state.transition(a)[0] for a in candidates])
+                for state in self.states.values())
+        return ids
 
     @classmethod
     def from_factors(cls, factors: Mapping[str, Factor]):
@@ -425,8 +475,9 @@ def run_active_inference(
     or no entry, where there is none).
 
     Builds one one-step policy per candidate action, takes each factor's row
-    of per-policy beliefs, F and G from the process-wide memo (summing
-    F and G across factors), forms the policy posterior and picks the action.
+    of per-policy beliefs, F and G from the process-wide memo, and then the
+    round's F and G (summed across factors), policy posterior and chosen
+    action from the table of rounds, which is keyed by the rows.
     When every preference is already satisfied :data:`IDLE` is returned
     outright: the exact expected-free-energy score would otherwise favour
     stochastic self-transitions over doing nothing.
@@ -434,14 +485,11 @@ def run_active_inference(
     if not actions:
         raise NoPoliciesError("no candidate actions")
     candidates = tuple(actions)
-    f_total = g_total = (0.0,) * len(candidates)
+    n = len(candidates)
+    rows = []
     per_policy: dict[str, Sequence[list[np.ndarray]]] = {}
-    satisfied = True
-
-    # state by state in model order, then candidate by candidate: the order
-    # of an uncached round's additions, so the sums are bit-identical.  The
-    # sums stay lazy until the last state is in.
-    for sid, state in model.states.items():
+    round_key = [n]
+    for (sid, state), ids in zip(model.states.items(), model.transition_ids(candidates)):
         prior = np.asarray(beliefs[sid], dtype=float)
         index = observations.get(sid)
         if index is not None:
@@ -449,23 +497,24 @@ def run_active_inference(
             # An index out of range keys no entry: evidence() raises first.
             index = operator.index(index)
         c = np.asarray(preferences[sid], dtype=float)
-        key = (prior.tobytes(), index,
-               tuple([state.transition(a)[0] for a in candidates]), c.tobytes())
+        key = (prior.tobytes(), index, ids, c.tobytes())
         row = _MEMO.get(key)
         if row is None:
             row = _row(state, candidates, prior, c, key)
-        f_row, g_row, per_policy[sid], state_satisfied = row
-        f_total = map(operator.add, f_total, f_row)
-        g_total = map(operator.add, g_total, g_row)
-        satisfied = satisfied and state_satisfied
+        rows.append(row)
+        per_policy[sid] = row[2]
+        round_key.append(row[4])
 
-    f, g = np.array(list(f_total)), np.array(list(g_total))
-    pi = policy_posterior(f, g)
-    chosen = IDLE if satisfied else select_action(pi, candidates)
+    round_key = tuple(round_key)
+    packed = _ROUNDS.get(round_key)
+    if packed is None:
+        packed = _round(rows, n, round_key)
+    vector = np.frombuffer(packed)   # read-only: it views the bytes
+    chosen = int(vector[3 * n])
     return InferenceOutcome(
-        policy_probs=pi,
-        free_energy=f,
-        expected_free_energy=g,
+        policy_probs=vector[2 * n:3 * n],
+        free_energy=vector[:n],
+        expected_free_energy=vector[n:2 * n],
         per_policy_beliefs=per_policy,
-        chosen_action=chosen,
+        chosen_action=IDLE if chosen < 0 else candidates[chosen],
     )

@@ -86,6 +86,14 @@ def _parse_predicate(raw, source) -> Predicate:
         raise ScenarioError(source, f"bad predicate entry {raw!r}") from exc
 
 
+def _parse_matrix(raw, what: str) -> np.ndarray:
+    """An explicit matrix: a list of rows, each a list of numbers taken by
+    :func:`strict_float` (neither a bool nor a numeric string)."""
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise TypeError(f"{what} must be a list of rows, got {raw!r}")
+    return np.array([[strict_float(x, what) for x in row] for row in raw])
+
+
 def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
     try:
         name = strict_str(raw["name"], "action name")
@@ -113,7 +121,8 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
             # would apply every postcondition
             raise ScenarioError(source, f"action {name}: state {sid!r} named twice in post")
         if sid in explicit:
-            transitions[sid] = np.asarray(explicit[sid], dtype=float)
+            transitions[sid] = _parse_matrix(explicit[sid],
+                                             f"action {name}: transition[{sid}]")
         else:
             transitions[sid] = achieve_matrix(registry.get(sid).m, idx)
     for sid in explicit:
@@ -134,8 +143,11 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
     )
     try:
         registry.validate_action(action)
-    except (DomainError, KeyError) as exc:
-        raise ScenarioError(source, f"action {name}: {exc}") from exc
+    except DomainError as exc:
+        # validate_action names the action in every message
+        raise ScenarioError(source, str(exc)) from exc
+    except KeyError as exc:
+        raise ScenarioError(source, f"action {name}: unknown state {exc.args[0]!r}") from exc
     return action
 
 

@@ -244,22 +244,102 @@ def test_rounds_with_equal_transitions_share_rows(monkeypatch):
     assert np.array_equal(again.policy_probs, first.policy_probs)
 
 
+def _empty_tables():
+    inference._MEMO.clear()
+    inference._MATRICES.clear()
+    inference._ROUNDS.clear()
+
+
+def _round_bytes(out) -> tuple:
+    return (out.free_energy.tobytes(), out.expected_free_energy.tobytes(),
+            out.policy_probs.tobytes(), out.chosen_action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(1, 8))
+def test_warm_rounds_equal_cold_rounds(seed, rounds):
+    # a warm round is a hit in the table of rounds; a cold one starts from
+    # emptied tables and evaluates every term, G value, row and round anew
+    rng = np.random.default_rng(seed)
+    factors, actions, observations = random_model(rng, max_factors=4)
+    model, beliefs, base_c = CompiledModel.from_factors(factors)
+    # rounds that differ in one state only: a pool of beliefs and pushes
+    # that each change a single state
+    belief_pool, c_pool = [beliefs], [base_c]
+    for sid, f in factors.items():
+        belief_pool.append({**beliefs, sid: rng.dirichlet(np.ones(f.m))})
+        c = np.zeros(f.m)
+        c[rng.integers(f.m)] = 2.0
+        c_pool.append({**base_c, sid: c})
+    indices = observed_indices(observations)
+    for _ in range(rounds):
+        d = belief_pool[int(rng.integers(len(belief_pool)))]
+        c = c_pool[int(rng.integers(len(c_pool)))]
+        k = int(rng.integers(1, len(actions) + 1))
+        candidates = [str(u) for u in rng.permutation(actions)[:k]]
+        run_active_inference(model, candidates, indices, d, c)
+        size = len(inference._ROUNDS)
+        warm = run_active_inference(model, candidates, indices, d, c)
+        assert len(inference._ROUNDS) == size
+        _empty_tables()
+        cold = run_active_inference(model, candidates, indices, d, c)
+        assert _round_bytes(warm) == _round_bytes(cold)
+        _assert_round_equals_uncached(warm, _transitions(factors), d, c,
+                                      candidates, observations)
+
+
+def test_round_vectors_are_read_only(monkeypatch):
+    monkeypatch.setattr(inference, "_ROUNDS", {})
+    for _ in range(2):   # a miss, then a hit
+        out = _index_round(1)
+        for vector in (out.policy_probs, out.free_energy, out.expected_free_energy):
+            with pytest.raises(ValueError):
+                vector[0] = 0.5
+
+
+def test_rounds_over_equal_transitions_share_one_entry(monkeypatch):
+    monkeypatch.setattr(inference, "_ROUNDS", {})
+    rng = np.random.default_rng(21)
+    b = random_stochastic(rng, 3)
+    transitions = {"s": {"act": b, "twin": b.copy()}, "t": {}}
+    d = {"s": np.array([0.2, 0.5, 0.3]), "t": np.array([0.4, 0.6])}
+    o = {"s": 1, "t": None}
+    model = CompiledModel({"s": 3, "t": 2}, transitions)
+    names = {}
+    for candidates in (["Idle", "act"], ["act", "Idle"], ["wait", "twin"],
+                       ["twin", "wait"]):
+        # s prefers the value that "act" and "twin" reach
+        c = {"s": np.array([0.0, 0.0, 2.0]), "t": np.array([1.0, 0.0])}
+        out = run_active_inference(model, candidates, o, d, c)
+        names[tuple(candidates)] = out.chosen_action
+    # one entry per candidate order, shared by the two names of each move
+    assert len(inference._ROUNDS) == 2
+    assert names == {("Idle", "act"): "act", ("act", "Idle"): "act",
+                     ("wait", "twin"): "twin", ("twin", "wait"): "twin"}
+
+
 @pytest.mark.parametrize("cap", [3, 40])
 def test_tables_stay_within_their_cap(monkeypatch, cap):
     # with cap 3 the memo is also emptied inside a row's evaluation
     monkeypatch.setattr(inference, "TABLE_CAP", cap)
     monkeypatch.setattr(inference, "_MEMO", {})
     monkeypatch.setattr(inference, "_MATRICES", {})
-    remembered = []
-    remember = inference._remember
+    monkeypatch.setattr(inference, "_ROUNDS", {})
+    remembered, rounds = [], []
+    remember, make_round = inference._remember, inference._round
 
     def counting_remember(key, value):
         remembered.append(key)
         return remember(key, value)
 
+    def counting_round(rows, n, key):
+        rounds.append(key)
+        return make_round(rows, n, key)
+
     monkeypatch.setattr(inference, "_remember", counting_remember)
+    monkeypatch.setattr(inference, "_round", counting_round)
     rng = np.random.default_rng(11)
-    # the first model outlives many clears of both tables
+    # the first model outlives many clears of every table
     first = random_model(rng)
     first_model = CompiledModel.from_factors(first[0])
     for i in range(80):
@@ -279,7 +359,9 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
                                           candidates, observations)
             assert len(inference._MEMO) <= cap
             assert len(inference._MATRICES) <= cap
+            assert len(inference._ROUNDS) <= cap
     assert len(remembered) > 5 * cap
+    assert len(rounds) > 5 * cap
 
 
 def _scenario_docs():

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from btai import episode, inference
 from btai.episode import report, run_episode, write_trace
+from btai.inference import IDLE
 from btai.scenario import parse_scenario, shipped_scenario_path
+from btai.selector import _viable
 
 SHIPPED = [
     "scenario_1.yaml",
@@ -335,8 +337,8 @@ class TestTraceEncoding:
 
 class TestWarmEqualsCold:
     """A (scenario, seed) gives the same trace bytes whatever the process-wide
-    tables hold: the planner's memo (terms, G values and rows), its matrix
-    intern table and the trace text memo."""
+    tables hold: the planner's memo (terms, G values and rows), its table of
+    rounds, its matrix intern table and the trace text memo."""
 
     CASES = [(name, seed) for name in SHIPPED for seed in range(3)]
 
@@ -356,6 +358,7 @@ class TestWarmEqualsCold:
         def empty_tables():
             inference._MEMO.clear()
             inference._MATRICES.clear()
+            inference._ROUNDS.clear()
             episode._TEXT.clear()
 
         update_beliefs, encode_record = episode.update_beliefs, episode._encode_record
@@ -372,6 +375,41 @@ class TestWarmEqualsCold:
         monkeypatch.setattr(episode, "_encode_record", cold_encode_record)
         for case in self.CASES:
             assert self.trace(*case, path) == warm[case], case
+
+
+class TestSelectorInvariants:
+    """Checked from the records of noisy episodes with stochastic outcomes:
+    the bound on rounds per selector call, the choice rule of each round and
+    the life of pushed priors."""
+
+    CASES = [(name, seed) for name in SHIPPED for seed in range(3)]
+
+    def test_invariants_hold_on_the_shipped_scenarios(self):
+        seen = {"rounds": 0, "pushes": 0, "drops": 0}
+        for name, seed in self.CASES:
+            actions = parse_scenario(shipped_scenario_path(name)).actions
+            pushed: dict[str, int] = {}
+            for record in run_noisy(name, seed).records:
+                logical = record["logical"]
+                viable = [a for a in actions if _viable(a, logical)]
+                for verdict in record["selector"]:
+                    where = (name, seed, record["tick"], verdict["node"])
+                    assert len(verdict["calls"]) <= len(viable) + 1, where
+                    for call in verdict["calls"]:
+                        pi = call["policy_probs"]
+                        first_argmax = call["candidates"][pi.index(max(pi))]
+                        assert call["chosen"] in (first_argmax, IDLE), where
+                    # a pushed prior goes at the first call that sees it hold
+                    holding = [[sid, idx] for sid, idx in pushed.items()
+                               if logical[sid] == idx]
+                    assert verdict["removed_pushed"] == holding, where
+                    for sid, _ in holding:
+                        del pushed[sid]
+                    pushed.update(verdict["pushed"])
+                    seen["rounds"] += len(verdict["calls"])
+                    seen["pushes"] += len(verdict["pushed"])
+                    seen["drops"] += len(holding)
+        assert min(seen.values()) > 0, seen
 
 
 class TestReport:

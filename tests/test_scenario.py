@@ -140,6 +140,23 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="postcondition"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("index, edit, message", [
+        (2, {"transitions": {"isAt": [[0.95, 0.1], [0.05, 0.9]]}},
+         "transition[isAt] column 1 does not move mass toward postcondition index 0"),
+        (2, {"transitions": {"isAt": [[0.95, 0.9], [0.5, 0.1]]}},
+         "transition[isAt] column 0 must sum to 1 (got 1.450000000000)"),
+        (3, {"pre": [{"state": "isReachable", "index": 5}]},
+         "predicate on isReachable: index 5 out of range for m=2"),
+        (3, {"pre": [{"state": "ghost", "index": 0}]}, "unknown state 'ghost'"),
+    ])
+    def test_action_error_names_the_action_once(self, index, edit, message):
+        data = base_dict()
+        data["actions"][index].update(edit)
+        name = data["actions"][index]["name"]
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(data, source="s.yaml")
+        assert str(info.value) == f"s.yaml: action {name}: {message}"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_explicit_transition_rejected(self, bad):
         data = base_dict()
@@ -205,6 +222,12 @@ MALFORMED = {
     "success-prob-nan": _set(("actions", 1, "success_prob"), math.nan),
     "ragged-transition": _set(("actions", 1, "transitions"),
                               {"isReachable": [[0.8], [0.2, 0.3]]}),
+    # explicit transition entries are numbers: these two would load as the
+    # valid matrices they spell if they were coerced
+    "transition-strings": _set(("actions", 1, "transitions"),
+                               {"isReachable": [["0.95", "0.9"], ["0.05", "0.1"]]}),
+    "transition-bools": _set(("actions", 1, "transitions"),
+                             {"isReachable": [[True, True], [False, False]]}),
     "prior-index-not-a-number": _set(
         ("bt", "reactive_sequence", 0, "prior", "targets", 0, "index"), "a"),
     "prior-targets-a-string": _set(
