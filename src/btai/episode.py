@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import inference
 from .bt import Action, BTNode, Prior, TickStatus, assign_ids, node_count
 from .domain import (
     ActionTemplate,
@@ -30,7 +29,7 @@ from .domain import (
     logical_state,
     update_beliefs,
 )
-from .inference import CompiledModel
+from .inference import CompiledModel, remember, table
 from .scenario import Scenario
 from .selector import (
     SelectorVerdict,
@@ -251,9 +250,9 @@ def run_episode(
 # indices, names, id lists).  Fragments repeat across ticks and episodes
 # far more often than records do, so the JSON text of each fragment is kept
 # in _TEXT under its exact content.  A lookup is ``_TEXT.get(key) or
-# _remember(key, text)``: JSON text is never empty, so the generic encoder
-# runs only on a miss.  The text for a key is always that encoder's output,
-# so a line has the bytes of json.dumps(record, separators=(",", ":")).
+# remember(_TEXT, key, text)``: JSON text is never empty, so the generic
+# encoder runs only on a miss.  The text for a key is always that encoder's
+# output, so a line has the bytes of json.dumps(record, separators=(",", ":")).
 #
 # Keys.  A key is a tuple whose first item is the fragment's kind, so equal
 # contents of two kinds never share a key; a name (a str or None) is its own
@@ -265,29 +264,20 @@ def run_episode(
 #
 # Beliefs are keyed per state: a tick's joint beliefs repeat far less often
 # than its vectors.  A map of preferences is keyed whole, since there are
-# few of them.  Like the planner's tables, the memo lives for the process,
-# as fragments recur across episodes; it holds at most TABLE_CAP entries and
-# is emptied when full.
-_TEXT: dict = {}
+# few of them.  Like the planner's tables, the memo is a process-wide table
+# (see inference.table), as fragments recur across episodes.
+_TEXT: dict = table()
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _FLOATS, _BELIEF, _PREFERENCES, _INDICES, _LIST, _PAIRS = range(6)
 
 
-def _remember(key, text: str) -> str:
-    """Store ``text`` under ``key`` in :data:`_TEXT` and return it."""
-    if len(_TEXT) >= inference.TABLE_CAP:
-        _TEXT.clear()
-    _TEXT[key] = text
-    return text
-
-
 def _name(name) -> str:
-    return _TEXT.get(name) or _remember(name, _encode(name))
+    return _TEXT.get(name) or remember(_TEXT, name, _encode(name))
 
 
 def _floats(v: list) -> str:
     key = (_FLOATS, *v) if 0.0 not in v else (_FLOATS, array("d", v).tobytes())
-    return _TEXT.get(key) or _remember(key, _encode(v))
+    return _TEXT.get(key) or remember(_TEXT, key, _encode(v))
 
 
 def _beliefs(beliefs: dict) -> str:
@@ -295,7 +285,7 @@ def _beliefs(beliefs: dict) -> str:
     for sid, v in beliefs.items():
         key = ((_BELIEF, sid, *v) if 0.0 not in v
                else (_BELIEF, sid, array("d", v).tobytes()))
-        entries.append(_TEXT.get(key) or _remember(key, _encode({sid: v})[1:-1]))
+        entries.append(_TEXT.get(key) or remember(_TEXT, key, _encode({sid: v})[1:-1]))
     return "{" + ",".join(entries) + "}"
 
 
@@ -305,22 +295,22 @@ def _preferences(preferences: dict) -> str:
     # the state ids, then the lengths that split ``flat`` into vectors
     head = (_PREFERENCES, *preferences, *map(len, vectors))
     key = (*head, *flat) if 0.0 not in flat else (*head, array("d", flat).tobytes())
-    return _TEXT.get(key) or _remember(key, _encode(preferences))
+    return _TEXT.get(key) or remember(_TEXT, key, _encode(preferences))
 
 
 def _indices(values: dict) -> str:
     key = (_INDICES, *values.items())
-    return _TEXT.get(key) or _remember(key, _encode(values))
+    return _TEXT.get(key) or remember(_TEXT, key, _encode(values))
 
 
 def _list(items: list) -> str:
     key = (_LIST, *items)
-    return _TEXT.get(key) or _remember(key, _encode(items))
+    return _TEXT.get(key) or remember(_TEXT, key, _encode(items))
 
 
 def _pairs(pairs: list) -> str:
     key = (_PAIRS, *map(tuple, pairs))
-    return _TEXT.get(key) or _remember(key, _encode(pairs))
+    return _TEXT.get(key) or remember(_TEXT, key, _encode(pairs))
 
 
 def _call(call: dict) -> str:

@@ -28,10 +28,33 @@ DEFAULT_HORIZON = 2
 #: how far a probability may stray from [0, 1], or a distribution's sum from 1
 PROB_TOL = 1e-9
 IDLE = "Idle"
-#: most entries each process-wide table holds: the interned matrices, the
-#: terms, G values and rows of the memo together, and the rounds.  A full
-#: table is emptied before its next insert.
+#: most entries a process-wide table (see :func:`table`) holds: one each for
+#: the interned matrices, the memo's terms, G values and rows, the rounds and
+#: the trace texts.  A full table is emptied before its next insert.
 TABLE_CAP = 4096
+_TABLES: list[dict] = []   # every table made by table()
+
+
+def table() -> dict:
+    """A new process-wide table, a plain dict that :func:`clear_tables`
+    empties.  Read it with ``dict.get``; store only through :func:`remember`."""
+    _TABLES.append({})
+    return _TABLES[-1]
+
+
+def remember(table: dict, key, value):
+    """Store ``value`` under ``key`` in ``table`` and return it, first
+    emptying a table that holds :data:`TABLE_CAP` entries."""
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def clear_tables() -> None:
+    """Empty every table: a test or tool that needs a cold process calls this."""
+    for t in _TABLES:
+        t.clear()
 
 
 class ModelError(ValueError):
@@ -289,7 +312,7 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 # matrix content -> (id, matrix, log-matrix), read-only private copies.  Ids
 # come from a counter and are never reused, so an id names one content for
 # the life of the process, also after the table was emptied.
-_MATRICES: dict[tuple, tuple] = {}
+_MATRICES: dict[tuple, tuple] = table()
 _MATRIX_IDS = itertools.count()
 
 
@@ -299,10 +322,8 @@ def _intern(mat) -> tuple:
     key = (mat.shape, mat.tobytes())
     entry = _MATRICES.get(key)
     if entry is None:
-        if len(_MATRICES) >= TABLE_CAP:
-            _MATRICES.clear()
         mat = _read_only(mat.copy())
-        entry = _MATRICES[key] = (next(_MATRIX_IDS), mat, _read_only(safe_log(mat)))
+        entry = remember(_MATRICES, key, (next(_MATRIX_IDS), mat, _read_only(safe_log(mat))))
     return entry
 
 
@@ -335,9 +356,8 @@ class _StateModel:
 #           whether C is already satisfied, serial)
 # D is the prior belief and C the preferences.  A B id fixes the state's
 # size m, and with it I.  Values are sweep outputs and floats, never a
-# caller's array.  The memo holds at most TABLE_CAP entries and is emptied
-# when full; it takes no lock, since rounds run on one thread.
-_MEMO: dict[tuple, object] = {}
+# caller's array.  The memo takes no lock, since rounds run on one thread.
+_MEMO: dict[tuple, object] = table()
 # A row's serial comes from a counter and is never reused, so it names the
 # row's content for the life of the process, like a matrix id.
 _ROW_SERIALS = itertools.count()
@@ -348,17 +368,8 @@ _ROW_SERIALS = itertools.count()
 # chosen candidate, or -1 for Idle.  One bytes object, not an array
 # and an int in a tuple: a full table holds 4096 entries, and this saves
 # about 130 B on each.  An index, not a name: rows are keyed by
-# transitions, so rounds over different names share an entry.  At most
-# TABLE_CAP entries; emptied when full.
-_ROUNDS: dict[tuple, bytes] = {}
-
-
-def _remember(key: tuple, value):
-    """Store ``value`` under ``key`` in :data:`_MEMO` and return it."""
-    if len(_MEMO) >= TABLE_CAP:
-        _MEMO.clear()
-    _MEMO[key] = value
-    return value
+# transitions, so rounds over different names share an entry.
+_ROUNDS: dict[tuple, bytes] = table()
 
 
 def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
@@ -379,11 +390,11 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
             beliefs = update_posterior_states([b], prior=prior, observations=obs)
             for belief in beliefs:
                 belief.flags.writeable = False
-            term = _remember(key, (beliefs, variational_free_energy(
+            term = remember(_MEMO, key, (beliefs, variational_free_energy(
                 beliefs, [b], prior, obs)))
         g = _MEMO.get((key, c_key))
         if g is None:
-            g = _remember((key, c_key), expected_free_energy(term[0], c))
+            g = remember(_MEMO, (key, c_key), expected_free_energy(term[0], c))
         per_policy.append(term[0])
         f_row.append(term[1])
         g_row.append(g)
@@ -393,8 +404,8 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
     if index is not None:
         belief = softmax(safe_log(prior) + evidence(state.identity[2], index))
     satisfied = preferences_satisfied(int(np.argmax(belief)), c)
-    return _remember(row_key, (tuple(f_row), tuple(g_row), tuple(per_policy), satisfied,
-                               next(_ROW_SERIALS)))
+    return remember(_MEMO, row_key, (tuple(f_row), tuple(g_row), tuple(per_policy),
+                                     satisfied, next(_ROW_SERIALS)))
 
 
 def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:
@@ -412,10 +423,7 @@ def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:
     f, g = np.array(list(f_total)), np.array(list(g_total))
     pi = policy_posterior(f, g)
     chosen = -1 if satisfied else select_action(pi, range(n))
-    if len(_ROUNDS) >= TABLE_CAP:
-        _ROUNDS.clear()
-    packed = _ROUNDS[round_key] = np.concatenate((f, g, pi, [chosen])).tobytes()
-    return packed
+    return remember(_ROUNDS, round_key, np.concatenate((f, g, pi, [chosen])).tobytes())
 
 
 class CompiledModel:

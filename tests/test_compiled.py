@@ -157,8 +157,8 @@ def _rows() -> list[tuple]:
     return [key for key in inference._MEMO if len(key) == 4]
 
 
-def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
-    monkeypatch.setattr(inference, "_MEMO", {})
+def test_states_sharing_an_entry_keep_rows_per_transition():
+    inference.clear_tables()
     rng = np.random.default_rng(5)
     # same size, belief, observation and C, so the states share every term
     # of the identity; the same action name moves each state differently
@@ -175,8 +175,8 @@ def test_states_sharing_an_entry_keep_rows_per_transition(monkeypatch):
     assert len(_rows()) == 6
 
 
-def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
-    monkeypatch.setattr(inference, "_MEMO", {})
+def test_fresh_model_with_equal_content_reuses_rows():
+    inference.clear_tables()
     rng = np.random.default_rng(8)
     for _ in range(10):
         factors, actions, observations = random_model(rng)
@@ -197,8 +197,8 @@ def test_fresh_model_with_equal_content_reuses_rows(monkeypatch):
         assert again.chosen_action == first.chosen_action
 
 
-def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
-    monkeypatch.setattr(inference, "_MEMO", {})
+def test_table_keeps_private_copies_of_caller_arrays():
+    inference.clear_tables()
     checked = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -225,8 +225,8 @@ def test_table_keeps_private_copies_of_caller_arrays(monkeypatch):
     assert checked >= 5
 
 
-def test_rounds_with_equal_transitions_share_rows(monkeypatch):
-    monkeypatch.setattr(inference, "_MEMO", {})
+def test_rounds_with_equal_transitions_share_rows():
+    inference.clear_tables()
     rng = np.random.default_rng(13)
     b = random_stochastic(rng, 3)
     # "twin" moves every state as "act" does; neither "Idle" nor "wait" acts
@@ -242,12 +242,6 @@ def test_rounds_with_equal_transitions_share_rows(monkeypatch):
                                   ["wait", "twin"], o)
     assert len(inference._MEMO) == size
     assert np.array_equal(again.policy_probs, first.policy_probs)
-
-
-def _empty_tables():
-    inference._MEMO.clear()
-    inference._MATRICES.clear()
-    inference._ROUNDS.clear()
 
 
 def _round_bytes(out) -> tuple:
@@ -281,15 +275,15 @@ def test_warm_rounds_equal_cold_rounds(seed, rounds):
         size = len(inference._ROUNDS)
         warm = run_active_inference(model, candidates, indices, d, c)
         assert len(inference._ROUNDS) == size
-        _empty_tables()
+        inference.clear_tables()
         cold = run_active_inference(model, candidates, indices, d, c)
         assert _round_bytes(warm) == _round_bytes(cold)
         _assert_round_equals_uncached(warm, _transitions(factors), d, c,
                                       candidates, observations)
 
 
-def test_round_vectors_are_read_only(monkeypatch):
-    monkeypatch.setattr(inference, "_ROUNDS", {})
+def test_round_vectors_are_read_only():
+    inference.clear_tables()
     for _ in range(2):   # a miss, then a hit
         out = _index_round(1)
         for vector in (out.policy_probs, out.free_energy, out.expected_free_energy):
@@ -297,8 +291,8 @@ def test_round_vectors_are_read_only(monkeypatch):
                 vector[0] = 0.5
 
 
-def test_rounds_over_equal_transitions_share_one_entry(monkeypatch):
-    monkeypatch.setattr(inference, "_ROUNDS", {})
+def test_rounds_over_equal_transitions_share_one_entry():
+    inference.clear_tables()
     rng = np.random.default_rng(21)
     b = random_stochastic(rng, 3)
     transitions = {"s": {"act": b, "twin": b.copy()}, "t": {}}
@@ -322,22 +316,18 @@ def test_rounds_over_equal_transitions_share_one_entry(monkeypatch):
 def test_tables_stay_within_their_cap(monkeypatch, cap):
     # with cap 3 the memo is also emptied inside a row's evaluation
     monkeypatch.setattr(inference, "TABLE_CAP", cap)
-    monkeypatch.setattr(inference, "_MEMO", {})
-    monkeypatch.setattr(inference, "_MATRICES", {})
-    monkeypatch.setattr(inference, "_ROUNDS", {})
+    inference.clear_tables()
     remembered, rounds = [], []
-    remember, make_round = inference._remember, inference._round
+    remember = inference.remember
 
-    def counting_remember(key, value):
-        remembered.append(key)
-        return remember(key, value)
+    def counting_remember(table, key, value):
+        if table is inference._MEMO:
+            remembered.append(key)
+        elif table is inference._ROUNDS:
+            rounds.append(key)
+        return remember(table, key, value)
 
-    def counting_round(rows, n, key):
-        rounds.append(key)
-        return make_round(rows, n, key)
-
-    monkeypatch.setattr(inference, "_remember", counting_remember)
-    monkeypatch.setattr(inference, "_round", counting_round)
+    monkeypatch.setattr(inference, "remember", counting_remember)
     rng = np.random.default_rng(11)
     # the first model outlives many clears of every table
     first = random_model(rng)
@@ -403,8 +393,7 @@ def test_back_to_back_episodes_share_memo_byte_for_byte(tmp_path):
 
 
 def test_factor_round_after_episode_reads_the_episode_terms(monkeypatch):
-    monkeypatch.setattr(inference, "_MEMO", {})
-    monkeypatch.setattr(inference, "_MATRICES", {})
+    inference.clear_tables()
     sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))
     result = run_episode(sc)
     registry = sc.registry()
@@ -547,10 +536,9 @@ def _assert_same_round(out, want):
 
 
 @pytest.mark.parametrize("index", [True, np.int64(1)])
-def test_an_integer_like_observation_is_planned_as_its_int_value(monkeypatch, index):
-    monkeypatch.setattr(inference, "_MEMO", {})
+def test_an_integer_like_observation_is_planned_as_its_int_value(index):
     want = _index_round(1)
-    inference._MEMO.clear()
+    inference.clear_tables()
     _assert_same_round(_index_round(index), want)   # cold
     _assert_same_round(_index_round(index), want)   # warm
     # the memo keys the observation slot by the int itself
@@ -558,8 +546,8 @@ def test_an_integer_like_observation_is_planned_as_its_int_value(monkeypatch, in
 
 
 @pytest.mark.parametrize("index", [1.0, "1"])
-def test_a_non_integer_observation_raises_cold_and_warm(monkeypatch, index):
-    monkeypatch.setattr(inference, "_MEMO", {})
+def test_a_non_integer_observation_raises_cold_and_warm(index):
+    inference.clear_tables()
     with pytest.raises(TypeError):
         _index_round(index)
     _index_round(1)
@@ -569,9 +557,9 @@ def test_a_non_integer_observation_raises_cold_and_warm(monkeypatch, index):
 
 
 @pytest.mark.parametrize("index", [-1, 2])
-def test_an_out_of_range_index_raises_cold_and_warm(monkeypatch, index):
+def test_an_out_of_range_index_raises_cold_and_warm(index):
     # numpy would read -1 as the last value and raise IndexError for 2
-    monkeypatch.setattr(inference, "_MEMO", {})
+    inference.clear_tables()
     registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
     model = compile_model(registry, [ActionTemplate("Idle")])
     d = {"s": np.array([0.4, 0.6])}

@@ -1,16 +1,18 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import btai
 from btai import episode, inference
 from btai.episode import report, run_episode, write_trace
 from btai.inference import IDLE
@@ -267,9 +269,9 @@ class TestTraceEncoding:
     def test_lines_equal_json_dumps_on_cold_and_warm_memo(self, name, seed):
         records = run_noisy(name, seed).records
         expected = [dumps(r) for r in records]
-        with patch.dict(episode._TEXT, clear=True):
-            assert encode_all(records) == expected
-            assert encode_all(records) == expected
+        inference.clear_tables()
+        assert encode_all(records) == expected
+        assert encode_all(records) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(SHIPPED), seed=st.integers(0, 2 ** 31 - 1),
@@ -283,31 +285,32 @@ class TestTraceEncoding:
         names = dict(zip(originals, itertools.cycle(new_names)))
         records = run_noisy(name, seed).records
         edited = [edit(r, floats, names) for r in records]
-        with patch.dict(episode._TEXT, clear=True):
-            for batch in (records, edited, edited):
-                assert encode_all(batch) == [dumps(r) for r in batch]
+        inference.clear_tables()
+        for batch in (records, edited, edited):
+            assert encode_all(batch) == [dumps(r) for r in batch]
 
     @pytest.mark.parametrize("first, then", [
         (0.0, -0.0), (-0.0, 0.0), (5e-324, 0.0), (1.0, math.nextafter(1.0, 2.0))])
     def test_equal_or_adjacent_floats_keep_their_own_text(self, first, then):
         records = run("scenario_1_conflict.yaml").records
-        with patch.dict(episode._TEXT, clear=True):
-            for value in (first, then):
-                edited = [edit(r, [value], {}) for r in records]
-                assert encode_all(edited) == [dumps(r) for r in edited]
+        inference.clear_tables()
+        for value in (first, then):
+            edited = [edit(r, [value], {}) for r in records]
+            assert encode_all(edited) == [dumps(r) for r in edited]
 
     @pytest.mark.parametrize("cap", [1, 3, 64])
     def test_memo_stays_within_its_cap(self, monkeypatch, cap):
         monkeypatch.setattr(inference, "TABLE_CAP", cap)
-        monkeypatch.setattr(episode, "_TEXT", {})
+        inference.clear_tables()
         remembered = []
-        remember = episode._remember
+        remember = episode.remember
 
-        def counting_remember(key, text):
-            remembered.append(key)
-            return remember(key, text)
+        def counting_remember(table, key, text):
+            if table is episode._TEXT:
+                remembered.append(key)
+            return remember(table, key, text)
 
-        monkeypatch.setattr(episode, "_remember", counting_remember)
+        monkeypatch.setattr(episode, "remember", counting_remember)
         for name in SHIPPED:
             for seed in range(3):
                 for record in run_noisy(name, seed).records:
@@ -337,8 +340,9 @@ class TestTraceEncoding:
 
 class TestWarmEqualsCold:
     """A (scenario, seed) gives the same trace bytes whatever the process-wide
-    tables hold: the planner's memo (terms, G values and rows), its table of
-    rounds, its matrix intern table and the trace text memo."""
+    tables hold.  ``inference.clear_tables()`` empties every one of them: the
+    planner's memo (terms, G values and rows), its table of rounds, its
+    matrix intern table and the trace text memo."""
 
     CASES = [(name, seed) for name in SHIPPED for seed in range(3)]
 
@@ -355,26 +359,66 @@ class TestWarmEqualsCold:
             self.trace(name, seed, path)
         warm = {case: self.trace(*case, path) for case in self.CASES}
 
-        def empty_tables():
-            inference._MEMO.clear()
-            inference._MATRICES.clear()
-            inference._ROUNDS.clear()
-            episode._TEXT.clear()
-
         update_beliefs, encode_record = episode.update_beliefs, episode._encode_record
 
         def cold_update_beliefs(*args):
-            empty_tables()  # each tick starts with its perception step
+            inference.clear_tables()  # each tick starts with its perception step
             return update_beliefs(*args)
 
         def cold_encode_record(record):
-            empty_tables()
+            inference.clear_tables()
             return encode_record(record)
 
         monkeypatch.setattr(episode, "update_beliefs", cold_update_beliefs)
         monkeypatch.setattr(episode, "_encode_record", cold_encode_record)
         for case in self.CASES:
             assert self.trace(*case, path) == warm[case], case
+
+
+def module_dicts() -> dict[int, tuple[str, int]]:
+    """Every dict bound at module level in a btai module, by id: its
+    qualified name and its size."""
+    found = {}
+    for info in pkgutil.iter_modules(btai.__path__):
+        module = importlib.import_module(f"btai.{info.name}")
+        for attr, value in vars(module).items():
+            if isinstance(value, dict) and not attr.startswith("__"):
+                found[id(value)] = (f"{module.__name__}.{attr}", len(value))
+    return found
+
+
+def unregistered_growth(trace_path) -> list[str]:
+    """The module-level dicts of btai, other than the tables made by
+    ``inference.table()``, that grow while every shipped scenario runs, its
+    trace is written and its report is made."""
+    inference.clear_tables()
+    before = module_dicts()
+    for name in SHIPPED:
+        for seed in range(2):
+            result = run_noisy(name, seed)
+            write_trace(result, trace_path)
+            report(result)
+    # the episodes filled the tables, so they did grow
+    assert inference._MEMO and inference._ROUNDS and episode._TEXT
+    registered = {id(t) for t in inference._TABLES}
+    return sorted(where for key, (where, size) in module_dicts().items()
+                  if size > before.get(key, (where, 0))[1] and key not in registered)
+
+
+def test_every_growing_module_dict_is_a_registered_table(tmp_path):
+    # a memo made as a plain dict escapes clear_tables(), and with it every
+    # warm/cold check that empties the tables through it.  The check runs in
+    # a fresh interpreter: in this one such a memo may already hold every
+    # entry the episodes make, and would not grow.
+    paths = [str(Path(episode.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    check = ("import test_episode; "
+             f"print(*test_episode.unregistered_growth({str(tmp_path / 't.jsonl')!r}))")
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert not out.stdout.split(), f"dicts outside inference.table(): {out.stdout}"
 
 
 class TestSelectorInvariants:
