@@ -2,9 +2,9 @@
 Condition and Action leaves, plus the Prior leaf that delegates action choice
 to the adaptive selector.
 
-Trees are validated at construction; ticking never raises for structural
-reasons.  Nodes carry stable pre-order ids so traces and graph exports are
-deterministic.
+Trees are validated at construction and not changed by ticking: a Sequence's
+memory lives in the context.  Ticking never raises for structural reasons.
+Stable pre-order node ids make traces and graph exports deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class Fallback(BTNode):
 
 class Sequence(BTNode):
     """Sequence with memory: keeps ticking a running child across ticks and
-    restarts from the first child only after Failure (or full Success)."""
+    restarts from the first child only after Failure (or full Success).  The
+    memory, the index of the running child, is kept in ``ctx.resume``."""
 
     kind = "sequence"
 
@@ -69,19 +70,16 @@ class Sequence(BTNode):
             raise TreeError("sequence needs at least one child")
         super().__init__(children)
         self.label = "→"
-        self._resume_at = 0
 
     def tick(self, ctx) -> TickStatus:
         ctx.visit(self)
-        for i in range(self._resume_at, len(self.children)):
+        for i in range(ctx.resume.pop(self, 0), len(self.children)):
             status = self.children[i].tick(ctx)
             if status == TickStatus.RUNNING:
-                self._resume_at = i
+                ctx.resume[self] = i
                 return status
             if status == TickStatus.FAILURE:
-                self._resume_at = 0
                 return status
-        self._resume_at = 0
         return TickStatus.SUCCESS
 
 

@@ -222,7 +222,7 @@ def update_beliefs(
     last_action: Optional[ActionTemplate],
     model: CompiledModel,
 ) -> dict[str, np.ndarray]:
-    """One perception step on the episode's compiled ``model``: propagate each
+    """One perception step on the scenario's compiled ``model``: propagate each
     belief through the last action's transition (identity where the action
     did not act) and fold in the evidence of each observed value index
     (None, or no entry, for a state without an observation; an index

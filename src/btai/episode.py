@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bt import Action, BTNode, Prior, TickStatus, assign_ids, node_count
+from .bt import Action, BTNode, Prior, TickStatus, node_count
 from .domain import (
     ActionTemplate,
     Predicate,
@@ -29,13 +29,12 @@ from .domain import (
     logical_state,
     update_beliefs,
 )
-from .inference import CompiledModel, remember, table
+from .inference import remember, table
 from .scenario import Scenario
 from .selector import (
     SelectorVerdict,
     adaptive_select,
     chain_trace,
-    compile_model,
     split_prepares_segments,
 )
 from .world import World
@@ -48,15 +47,14 @@ TIMEOUT = "Timeout"
 class EpisodeContext:
     """Execution context handed to every node during a root tick."""
 
-    def __init__(self, world: World, registry: StateRegistry,
-                 actions: list[ActionTemplate], priors: PriorSet,
-                 model: CompiledModel):
+    def __init__(self, world: World, scenario: Scenario, priors: PriorSet):
         self.world = world
-        self.registry = registry
-        self.actions = actions
-        self.actions_by_name = {a.name: a for a in actions}
+        self.registry = scenario.registry()
+        self.actions = scenario.actions
+        self.actions_by_name = scenario.actions_by_name()
         self.priors = priors
-        self.model = model
+        self.model = scenario.model
+        self.resume: dict[BTNode, int] = {}   # Sequence memory (see bt.Sequence)
         self.beliefs: dict[str, np.ndarray] = {}
         self.observations: dict[str, Optional[int]] = {}
         self.logical: dict[str, int] = {}
@@ -182,16 +180,12 @@ def run_episode(
     trace_path=None,
 ) -> EpisodeResult:
     registry = scenario.registry()
-    actions = list(scenario.actions)
     tree = scenario.build_tree()
     world = scenario.make_world(seed=seed, deterministic=deterministic)
     budget = scenario.budget_ticks if budget is None else budget
 
     priors = PriorSet()
-    # one model per episode: perception and planning read it; the terms it
-    # evaluates go to the process-wide table in btai.inference
-    model = compile_model(registry, actions)
-    ctx = EpisodeContext(world, registry, actions, priors, model)
+    ctx = EpisodeContext(world, scenario, priors)
     beliefs = registry.uniform_beliefs()
 
     records: list[dict] = []
@@ -202,7 +196,7 @@ def run_episode(
 
     for tick in range(budget):
         observations = world.observe()
-        beliefs = update_beliefs(beliefs, observations, world.last_completed, model)
+        beliefs = update_beliefs(beliefs, observations, world.last_completed, ctx.model)
         logical = logical_state(beliefs)
         if (world.last_result is not None
                 and world.last_result.status == "succeeded"):

@@ -428,7 +428,7 @@ def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:
 
 class CompiledModel:
     """Static part of a factorized generative model, prepared once per
-    episode.
+    scenario and read by all its episodes.
 
     ``sizes`` maps each state to its number of values m, and ``transitions``
     each state to the transition matrix B of every action that acts on it.
@@ -453,7 +453,7 @@ class CompiledModel:
     def transition_ids(self, candidates: tuple) -> tuple:
         """Per state in model order, the tuple of ``candidates``' transition
         ids on it (a row key's third slot), built once per candidates tuple
-        for the life of the model, one episode."""
+        for the life of the model, one parsed scenario."""
         ids = self._ids.get(candidates)
         if ids is None:
             ids = self._ids[candidates] = tuple(

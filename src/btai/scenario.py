@@ -28,7 +28,8 @@ from .domain import (
     strict_str,
     strict_str_list,
 )
-from .inference import IDLE
+from .inference import IDLE, CompiledModel
+from .selector import compile_model
 from .world import PerturbationEvent, World
 
 FORMAT_VERSION = "btai-scenario/1"
@@ -56,20 +57,35 @@ class Scenario:
     deterministic: bool = True
     seed: int = 0
     source: str = "<memory>"
+    model: CompiledModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built once and shared by every episode: ticking changes no tree node
+        self._registry = StateRegistry(self.states)
+        self._actions_by_name = {a.name: a for a in self.actions}
+        self._tree = bt.build_tree(self.bt_spec, self._registry, self._actions_by_name)
+        idle = self._actions_by_name.get(IDLE)
+        if (any(node.kind == "prior" for node in bt.assign_ids(self._tree))
+                and (idle is None or idle.postconditions)):
+            # the selector answers "no action needed" with Idle, which must
+            # stay a candidate, so it may not declare postconditions
+            raise ScenarioError(self.source, f"a tree with prior leaves needs an {IDLE!r} "
+                                             "action without postconditions")
+        self.model = compile_model(self._registry, self.actions)
 
     def registry(self) -> StateRegistry:
-        return StateRegistry(self.states)
+        return self._registry
 
     def actions_by_name(self) -> dict[str, ActionTemplate]:
-        return {a.name: a for a in self.actions}
+        return self._actions_by_name
 
     def build_tree(self) -> bt.BTNode:
-        return bt.build_tree(self.bt_spec, self.registry(), self.actions_by_name())
+        return self._tree
 
     def make_world(self, seed: Optional[int] = None,
                    deterministic: Optional[bool] = None) -> World:
         return World(
-            self.registry(),
+            self._registry,
             self.fluents,
             self.observable,
             seed=self.seed if seed is None else seed,
@@ -250,7 +266,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     if seed < 0:
         raise ScenarioError(source, "seed must be >= 0")
 
-    scenario = Scenario(
+    return Scenario(
         name=strict_str(data["name"], "name"),
         states=states,
         actions=actions,
@@ -264,14 +280,6 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         seed=seed,
         source=source,
     )
-    idle = scenario.actions_by_name().get(IDLE)
-    if (any(node.kind == "prior" for node in bt.assign_ids(scenario.build_tree()))
-            and (idle is None or idle.postconditions)):
-        # the selector answers "no action needed" with Idle, which must
-        # stay a candidate, so it may not declare postconditions
-        raise ScenarioError(source, f"a tree with prior leaves needs an {IDLE!r} "
-                                    "action without postconditions")
-    return scenario
 
 
 def parse_scenario(path) -> Scenario:

@@ -74,7 +74,7 @@ def adaptive_select(
 
     ``beliefs`` and ``logical`` must already reflect this tick's
     ``observations`` (value indices, None where unobserved); ``model`` is
-    the episode's compiled model of ``registry`` and ``actions`` (see
+    the scenario's compiled model of ``registry`` and ``actions`` (see
     :func:`compile_model`); ``execute`` is invoked with the action to start
     or continue.
     """

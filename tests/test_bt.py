@@ -45,6 +45,7 @@ class StubCtx:
     def __init__(self, truths=()):
         self.truths = set(truths)
         self.visited = []
+        self.resume = {}
 
     def visit(self, node):
         self.visited.append(node)
@@ -77,28 +78,39 @@ class TestFallback:
 
 
 class TestSequence:
+    # the memory lives in the context, so each test ticks one context
     def test_memory_resumes_at_running_child(self):
         first, second = Leaf(S), Leaf(R, S)
-        node = Sequence([first, second])
-        assert node.tick(StubCtx()) == R
-        assert node.tick(StubCtx()) == S
+        node, ctx = Sequence([first, second]), StubCtx()
+        assert node.tick(ctx) == R
+        assert node.tick(ctx) == S
         assert first.ticks == 1  # not re-ticked on resume
 
     def test_failure_resets_memory(self):
         first, second = Leaf(S), Leaf(R, F)
-        node = Sequence([first, second])
-        node.tick(StubCtx())
-        assert node.tick(StubCtx()) == F
+        node, ctx = Sequence([first, second]), StubCtx()
+        node.tick(ctx)
+        assert node.tick(ctx) == F
         node.children[1].statuses = [S]
-        assert node.tick(StubCtx()) == S
+        assert node.tick(ctx) == S
         assert first.ticks == 2  # restarted from the beginning
 
     def test_full_success_resets(self):
         first = Leaf(S)
-        node = Sequence([first, Leaf(S)])
-        assert node.tick(StubCtx()) == S
-        assert node.tick(StubCtx()) == S
+        node, ctx = Sequence([first, Leaf(S)]), StubCtx()
+        assert node.tick(ctx) == S
+        assert node.tick(ctx) == S
         assert first.ticks == 2
+
+    def test_two_contexts_keep_their_own_memory(self):
+        # one tree ticked by two episodes in turn: the first stops at its
+        # second child, the other at its first, and each resumes where it
+        # stopped, not where the other did
+        first, second = Leaf(S, R, S), Leaf(R, S, S)
+        node, one, other = Sequence([first, second]), StubCtx(), StubCtx()
+        assert [node.tick(ctx) for ctx in (one, other, one, other)] == [R, R, S, S]
+        assert one.visited == [node, first, second, node, second]
+        assert other.visited == [node, first, node, first, second]
 
 
 class TestReactiveSequence:

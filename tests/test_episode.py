@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib
 import itertools
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import btai
-from btai import episode, inference
+from btai import bt, episode, inference
+from btai import scenario as scenario_mod
+from btai.bt import assign_ids
+from btai.domain import StateRegistry
 from btai.episode import report, run_episode, write_trace
 from btai.inference import IDLE
 from btai.scenario import parse_scenario, shipped_scenario_path
@@ -110,6 +114,64 @@ class TestTimeout:
         result = run_episode(sc, budget=1)
         assert result.outcome == "Goal"
         assert len(result.records) == 1
+
+
+class TestSharedScenario:
+    """A parsed scenario holds the fixed half of every episode: its registry,
+    action map, tree and compiled model are built once, when it is parsed,
+    and all its episodes share them."""
+
+    BUDGETS = (1, 2, 3, 5, 8, None)   # None: the scenario's own
+
+    @staticmethod
+    def traces(scenario_for, path):
+        """Trace bytes of every (seed, budget), budgets interleaved; each
+        episode runs on ``scenario_for()``."""
+        out = []
+        for seed in (0, 1):
+            for budget in TestSharedScenario.BUDGETS:
+                run_episode(scenario_for(), seed=seed, budget=budget, trace_path=path)
+                out.append(path.read_bytes())
+        return out
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_episodes_on_one_scenario_equal_freshly_parsed_ones(self, name, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        shared = parse_scenario(shipped_scenario_path(name))
+        nodes = assign_ids(shared.build_tree())
+        before = [dict(vars(node)) for node in nodes]
+        back_to_back = self.traces(lambda: shared, path)
+        # a tree that kept an episode's state (a Sequence's running child)
+        # would start the next episode where the last one stopped
+        assert [dict(vars(node)) for node in nodes] == before
+        fresh = self.traces(lambda: parse_scenario(shipped_scenario_path(name)), path)
+        assert back_to_back == fresh
+
+    def test_parse_builds_each_part_once_and_an_episode_none(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(owner, attr):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(bt, "build_tree")
+        count(scenario_mod, "compile_model")
+        count(StateRegistry, "__init__")
+        for name in SHIPPED:
+            calls.clear()
+            sc = parse_scenario(shipped_scenario_path(name))
+            assert calls["build_tree"] == calls["compile_model"] == 1, name
+            calls.clear()
+            sc.make_world()
+            run_episode(sc)
+            assert not calls, (name, calls)
+            assert sc.build_tree() is sc.build_tree()
+            assert sc.registry() is sc.registry()
+            assert sc.actions_by_name() is sc.actions_by_name()
 
 
 class TestSafety:
