@@ -156,15 +156,15 @@ class Prior(BTNode):
 
 def assign_ids(root: BTNode) -> list[BTNode]:
     """Number nodes in pre-order; returns the node list."""
+    # a loop, not a nested recursive function: that one refers to itself, and
+    # the cycle would keep it and the node list alive until a full collection
     nodes = []
-
-    def walk(node):
+    stack = [root]
+    while stack:
+        node = stack.pop()
         node.node_id = len(nodes)
         nodes.append(node)
-        for child in node.children:
-            walk(child)
-
-    walk(root)
+        stack.extend(reversed(node.children))
     return nodes
 
 

@@ -18,8 +18,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .inference import (CompiledModel, ModelError, check_stochastic_matrix, evidence,
-                        softmax)
+from .inference import CompiledModel, ModelError, _intern, evidence, softmax
 
 NOMINAL_PREFERENCE = 1.0
 PUSHED_PREFERENCE = 2.0
@@ -186,7 +185,12 @@ class StateRegistry:
 
     def validate_action(self, action: ActionTemplate):
         """Check ``action`` against the states; every DomainError it raises
-        starts with ``action <name>:``."""
+        starts with ``action <name>:``.
+
+        Each transition is interned (:func:`btai.inference._intern`), which
+        checks that it is square and column-stochastic the first time its
+        content is seen in the process; its size and the direction of every
+        column toward the postcondition are checked on every call."""
         for pred in action.preconditions:
             try:
                 self.validate_predicate(pred)
@@ -200,7 +204,7 @@ class StateRegistry:
         for sid, b in action.transitions.items():
             state = self.get(sid)
             try:
-                mat = check_stochastic_matrix(b, f"action {action.name}: transition[{sid}]")
+                mat = _intern(b, f"action {action.name}: transition[{sid}]")[1]
             except ModelError as exc:
                 raise DomainError(str(exc)) from exc
             if mat.shape[0] != state.m:
@@ -209,8 +213,8 @@ class StateRegistry:
                 raise DomainError(
                     f"action {action.name}: transition on {sid} without a postcondition")
             target = post[sid]
-            for j in range(state.m):
-                if j != target and int(np.argmax(mat[:, j])) != target:
+            for j, top in enumerate(np.argmax(mat, axis=0).tolist()):
+                if j != target and top != target:
                     raise DomainError(
                         f"action {action.name}: transition[{sid}] column {j} does not "
                         f"move mass toward postcondition index {target}")

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bt import Action, BTNode, Prior, TickStatus, node_count
+from .bt import Action, BTNode, Prior, TickStatus
 from .domain import (
     ActionTemplate,
     Predicate,
@@ -228,7 +228,7 @@ def run_episode(
         started_actions=started,
         completed_actions=completed,
         chains=chain_trace(tick_chains),
-        bt_nodes=node_count(tree),
+        bt_nodes=scenario.bt_nodes,
         scenario_name=scenario.name,
     )
     if trace_path is not None:

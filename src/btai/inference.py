@@ -109,9 +109,10 @@ class Factor:
 
     ``transitions`` maps action name to that action's transition matrix for
     this state; actions without an entry leave the state alone (identity).
-    Construction validates every part.  Factors reach the planner compiled,
-    through :meth:`CompiledModel.from_factors`; a scenario's states through
-    :func:`btai.selector.compile_model`, from inputs validated at parse time.
+    Construction validates every part; each B is checked by :func:`_intern`,
+    so a content already interned is not checked again.  Factors reach the
+    planner compiled, through :meth:`CompiledModel.from_factors`; a
+    scenario's states through :func:`btai.selector.compile_model`.
     """
 
     transitions: Mapping[str, np.ndarray]    # action name -> B, m x m
@@ -126,7 +127,7 @@ class Factor:
         if c.shape != d.shape:
             raise ModelError("factor dimensions disagree")
         for name, b in self.transitions.items():
-            if check_stochastic_matrix(b, f"transition[{name}]").shape != (d.size, d.size):
+            if _intern(b, f"transition[{name}]")[1].shape != (d.size, d.size):
                 raise ModelError(f"transition[{name}] has wrong shape")
 
     @property
@@ -309,20 +310,27 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# matrix content -> (id, matrix, log-matrix), read-only private copies.  Ids
-# come from a counter and are never reused, so an id names one content for
-# the life of the process, also after the table was emptied.
+# matrix content -> (id, matrix, log-matrix), read-only private copies of
+# contents that passed check_stochastic_matrix.  Ids come from a counter and
+# are never reused, so an id names one content for the life of the process,
+# also after the table was emptied.
 _MATRICES: dict[tuple, tuple] = table()
 _MATRIX_IDS = itertools.count()
 
 
-def _intern(mat) -> tuple:
-    """The process-wide (id, matrix, log-matrix) entry of ``mat``'s content."""
+def _intern(mat, name: str = "matrix") -> tuple:
+    """The process-wide (id, matrix, log-matrix) entry of ``mat``'s content.
+
+    This is where a matrix is checked: a content not in the table is run
+    through :func:`check_stochastic_matrix` under ``name`` before it is
+    stored, so the table holds only square column-stochastic matrices and a
+    content is checked once per process (again after :func:`clear_tables`).
+    A content that fails raises :class:`ModelError` and is not stored."""
     mat = np.asarray(mat, dtype=float)
     key = (mat.shape, mat.tobytes())
     entry = _MATRICES.get(key)
     if entry is None:
-        mat = _read_only(mat.copy())
+        mat = _read_only(check_stochastic_matrix(mat, name).copy())
         entry = remember(_MATRICES, key, (next(_MATRIX_IDS), mat, _read_only(safe_log(mat))))
     return entry
 
@@ -436,10 +444,11 @@ class CompiledModel:
     (see :class:`_StateModel`); perception (:func:`btai.domain.update_beliefs`)
     reads the same entries.  The entries come from a process-wide intern
     table keyed by matrix content, so equal matrices share one entry, and
-    one id, across states, models and episodes.  The inputs are trusted:
-    they were validated where they were parsed (scenario files) or
-    constructed (:class:`Factor`).  Rounds on any model read and fill one
-    memo (see the comment above :data:`_MEMO`).
+    one id, across states, models and episodes.  Interning checks each
+    content the first time it is seen, so a matrix validated at parse time
+    (scenario files) or construction (:class:`Factor`) is not checked again,
+    and one that is not stochastic raises :class:`ModelError`.  Rounds on
+    any model read and fill one memo (see the comment above :data:`_MEMO`).
     """
 
     def __init__(self, sizes: Mapping[str, int],

@@ -58,14 +58,18 @@ class Scenario:
     seed: int = 0
     source: str = "<memory>"
     model: CompiledModel = field(init=False, repr=False, compare=False)
+    #: number of tree nodes, fixed at parse like the nodes' pre-order ids
+    bt_nodes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # built once and shared by every episode: ticking changes no tree node
         self._registry = StateRegistry(self.states)
         self._actions_by_name = {a.name: a for a in self.actions}
         self._tree = bt.build_tree(self.bt_spec, self._registry, self._actions_by_name)
+        nodes = bt.assign_ids(self._tree)
+        self.bt_nodes = len(nodes)
         idle = self._actions_by_name.get(IDLE)
-        if (any(node.kind == "prior" for node in bt.assign_ids(self._tree))
+        if (any(node.kind == "prior" for node in nodes)
                 and (idle is None or idle.postconditions)):
             # the selector answers "no action needed" with Idle, which must
             # stay a candidate, so it may not declare postconditions

@@ -147,6 +147,10 @@ class TestSharedScenario:
         fresh = self.traces(lambda: parse_scenario(shipped_scenario_path(name)), path)
         assert back_to_back == fresh
 
+    BT_NODES = {"scenario_1.yaml": 6, "scenario_1_conflict.yaml": 6,
+                "scenario_1_prior_nav.yaml": 4, "scenario_failure.yaml": 6,
+                "scenario_safety.yaml": 9, "bt_classic_27.yaml": 27}
+
     def test_parse_builds_each_part_once_and_an_episode_none(self, monkeypatch):
         calls = collections.Counter()
 
@@ -161,13 +165,18 @@ class TestSharedScenario:
         count(bt, "build_tree")
         count(scenario_mod, "compile_model")
         count(StateRegistry, "__init__")
+        # node ids and the node count are fixed at parse: an episode does
+        # not walk or renumber the shared tree
+        count(bt, "assign_ids")
+        count(bt, "node_count")
         for name in SHIPPED:
             calls.clear()
             sc = parse_scenario(shipped_scenario_path(name))
             assert calls["build_tree"] == calls["compile_model"] == 1, name
+            assert calls["assign_ids"] <= 2, name   # build_tree's and the count's
             calls.clear()
             sc.make_world()
-            run_episode(sc)
+            assert run_episode(sc).bt_nodes == self.BT_NODES[name]
             assert not calls, (name, calls)
             assert sc.build_tree() is sc.build_tree()
             assert sc.registry() is sc.registry()
@@ -481,6 +490,35 @@ def test_every_growing_module_dict_is_a_registered_table(tmp_path):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert not out.stdout.split(), f"dicts outside inference.table(): {out.stdout}"
+
+
+def test_episodes_leave_no_reference_cycles(tmp_path):
+    # garbage in a cycle lives until a full collection, which then runs
+    # inside some tick.  Checked in a fresh interpreter after one warm-up
+    # pass, so every lazy import and process-wide table is already set up.
+    check = f"""
+import gc
+from pathlib import Path
+from btai.episode import run_episode
+from btai.scenario import parse_scenario, shipped_scenario_path
+def episodes():
+    for name in {SHIPPED!r}:
+        for seed in (0, 1):
+            sc = parse_scenario(shipped_scenario_path(name))
+            run_episode(sc, seed=seed, deterministic=bool(seed),
+                        trace_path=Path({str(tmp_path / "t.jsonl")!r}))
+episodes()
+gc.collect()
+gc.disable()
+episodes()
+print(gc.collect())
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(episode.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
 
 
 class TestSelectorInvariants:

@@ -13,6 +13,7 @@ from modelgen import (
     random_stochastic,
     run_on_factors,
 )
+from btai import inference
 from btai.inference import (
     EPS,
     Factor,
@@ -100,6 +101,28 @@ class TestValidation:
                    preferences=np.zeros(2))
         with pytest.raises(ModelError, match="prior"):
             update_posterior_states([I2], [0.5, bad], [None])
+
+    @pytest.mark.parametrize("b, match", [
+        ([[0.85, 0.9], [0.05, 0.1]], "must sum to 1"),
+        ([[math.nan, 0.9], [0.05, 0.1]], "finite"),
+        ([[1.05, 0.9], [-0.05, 0.1]], "must lie in"),
+        ([[0.95, 0.9], [0.05, 0.1], [0.0, 0.0]], "must be square"),
+    ])
+    def test_non_stochastic_transition_rejected_cold_and_warm(self, b, match):
+        # the check runs when B is interned; a content that fails is not
+        # stored, so a warm table rejects it as a cold one does
+        inference.clear_tables()
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ModelError, match=match) as exc:
+                Factor(transitions={"a": np.array(b)}, prior=np.array([0.5, 0.5]),
+                       preferences=np.zeros(2))
+            messages.append(str(exc.value))
+            # interns B_G, a valid matrix of the same shape
+            example1_factor()
+        assert messages == [messages[0]] * 3
+        b = np.array(b)
+        assert (b.shape, b.tobytes()) not in inference._MATRICES
 
 
 class TestUpdatePosteriorStates:

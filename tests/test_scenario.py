@@ -1,9 +1,12 @@
+import collections
 import copy
 import math
 
+import numpy as np
 import pytest
 import yaml
 
+from btai import inference
 from btai.bt import node_count
 from btai.cli import main
 from btai.scenario import (
@@ -373,3 +376,67 @@ def test_deeply_nested_dict_raises_scenario_error():
     data["bt"] = _nested_bt(DEPTH)
     with pytest.raises(ScenarioError, match="nests too deeply"):
         scenario_from_dict(data)
+
+
+def _content(mat) -> tuple:
+    """The key of ``mat``'s content in the matrix intern table."""
+    mat = np.asarray(mat, dtype=float)
+    return mat.shape, mat.tobytes()
+
+
+class TestCheckOnIntern:
+    """A transition matrix is checked when it is interned: once per content
+    per process, and again after ``inference.clear_tables()``."""
+
+    def test_each_distinct_matrix_is_checked_once(self, monkeypatch):
+        checked = []
+        check = inference.check_stochastic_matrix
+
+        def counted(mat, name="matrix"):
+            checked.append(_content(mat))
+            return check(mat, name)
+        monkeypatch.setattr(inference, "check_stochastic_matrix", counted)
+        inference.clear_tables()
+        for _ in range(20):
+            sc = load("bt_classic_27.yaml")
+        # every transition and each state size's identity, the ones the
+        # compiled model interns
+        want = ({_content(b) for a in sc.actions for b in a.transitions.values()}
+                | {_content(np.eye(s.m)) for s in sc.states})
+        assert collections.Counter(checked) == dict.fromkeys(want, 1)
+        checked.clear()
+        inference.clear_tables()
+        load("bt_classic_27.yaml")
+        assert collections.Counter(checked) == dict.fromkeys(want, 1)
+
+    # explicit transitions of moveTo(shelf), whose postcondition is
+    # isReachable=0 on a two-valued state
+    BAD = {
+        "column-sums-to-0.9": ([[0.85, 0.9], [0.05, 0.1]], "must sum to 1"),
+        "nan": ([[math.nan, 0.9], [0.05, 0.1]], "must be finite"),
+        "negative-entry": ([[1.05, 0.9], [-0.05, 0.1]], r"must lie in \[0, 1\]"),
+        "not-square": ([[0.95, 0.9], [0.05, 0.1], [0.0, 0.0]], "must be square"),
+        "wrong-direction": ([[0.95, 0.1], [0.05, 0.9]], "does not move mass"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_transition_fails_alike_cold_and_warm(self, case):
+        matrix, match = self.BAD[case]
+        data = base_dict()
+        data["actions"][1]["transitions"] = {"isReachable": matrix}
+        inference.clear_tables()
+        messages = []
+        for warm in (False, True):
+            if warm:
+                # the table now holds every matrix of scenario_1, among
+                # them one of the bad matrix's shape
+                scenario_from_dict(base_dict())
+            for _ in range(3):
+                with pytest.raises(ScenarioError, match=match) as exc:
+                    scenario_from_dict(data)
+                messages.append(str(exc.value))
+        assert len(set(messages)) == 1, messages
+        if case != "wrong-direction":
+            # a stochastic matrix that points the wrong way is a checked
+            # content; its direction is checked per action, on every parse
+            assert _content(matrix) not in inference._MATRICES
