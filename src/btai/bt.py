@@ -184,11 +184,10 @@ def build_tree(spec, registry, actions_by_name, path: str = "bt") -> BTNode:
 
     ``spec`` is the nested mapping from the scenario file.  Unknown states or
     actions raise :class:`TreeError` naming the offending reference and its
-    path into the scenario.
+    path into the scenario.  The nodes are not numbered yet: the caller's
+    :func:`assign_ids` numbers them and returns the node list in one walk.
     """
-    root = _build_node(spec, registry, actions_by_name, path)
-    assign_ids(root)
-    return root
+    return _build_node(spec, registry, actions_by_name, path)
 
 
 def _build_node(spec, registry, actions_by_name, path) -> BTNode:

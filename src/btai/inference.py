@@ -29,8 +29,9 @@ DEFAULT_HORIZON = 2
 PROB_TOL = 1e-9
 IDLE = "Idle"
 #: most entries a process-wide table (see :func:`table`) holds: one each for
-#: the interned matrices, the memo's terms, G values and rows, the rounds and
-#: the trace texts.  A full table is emptied before its next insert.
+#: the interned matrices, the memo's terms, G values and rows, the rounds,
+#: the parsed document sections and the trace texts.  A full table is
+#: emptied before its next insert.
 TABLE_CAP = 4096
 _TABLES: list[dict] = []   # every table made by table()
 
@@ -436,7 +437,9 @@ def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:
 
 class CompiledModel:
     """Static part of a factorized generative model, prepared once per
-    scenario and read by all its episodes.
+    content of a document's states and actions sections and read by every
+    scenario parsed from it and by all their episodes (see
+    :data:`btai.scenario._DOMAINS`).
 
     ``sizes`` maps each state to its number of values m, and ``transitions``
     each state to the transition matrix B of every action that acts on it.
@@ -462,7 +465,8 @@ class CompiledModel:
     def transition_ids(self, candidates: tuple) -> tuple:
         """Per state in model order, the tuple of ``candidates``' transition
         ids on it (a row key's third slot), built once per candidates tuple
-        for the life of the model, one parsed scenario."""
+        for the life of the model: as long as the table entry of the parsed
+        sections it was compiled from, which outlives any one parse."""
         ids = self._ids.get(candidates)
         if ids is None:
             ids = self._ids[candidates] = tuple(

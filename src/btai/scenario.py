@@ -2,14 +2,17 @@
 behavior tree, the initial world and an optional perturbation schedule.
 
 Parsing validates every cross-reference and reports the file and the
-offending reference."""
+offending reference.  What the states and actions sections parse to is kept
+in a process-wide table keyed by their content (see :data:`_DOMAINS`)."""
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+import marshal
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -28,7 +31,7 @@ from .domain import (
     strict_str,
     strict_str_list,
 )
-from .inference import IDLE, CompiledModel
+from .inference import IDLE, CompiledModel, remember, table
 from .selector import compile_model
 from .world import PerturbationEvent, World
 
@@ -43,8 +46,50 @@ class ScenarioError(ValueError):
         self.source = source
 
 
+class _Domain(NamedTuple):
+    """What a document's ``states`` and ``actions`` sections parse to,
+    shared by every scenario parsed from equal sections.  Nothing changes a
+    part after the parse; the map is a mapping proxy and the templates'
+    transition matrices are read-only arrays."""
+
+    states: tuple[StateVar, ...]
+    actions: tuple[ActionTemplate, ...]
+    registry: StateRegistry
+    actions_by_name: Mapping[str, ActionTemplate]
+    model: CompiledModel
+
+
+def _domain(registry: StateRegistry, actions) -> _Domain:
+    """The shared parts of ``registry``'s states and ``actions``, which must
+    be valid against it (see :meth:`StateRegistry.validate_action`)."""
+    return _Domain(tuple(registry), tuple(actions), registry,
+                   MappingProxyType({a.name: a for a in actions}),
+                   compile_model(registry, actions))
+
+
+# The process-wide table of parsed sections: the marshal bytes, version 2,
+# of [states section, actions section] -> their _Domain.  Marshal is exact
+# for the types it writes: True, 1 and 1.0 differ, and so do -0.0 and 0.0,
+# and a list and a tuple.  Version 2 writes no back-references, so the bytes
+# depend on the content alone, not on which objects it shares.  A subclass
+# or a foreign type has no key (ValueError), and neither has a buffer
+# object: bytes, bytearray, numpy arrays and numpy scalars all marshal as
+# bytes, so no entry is stored for content that holds one.  Only sections
+# that parsed are stored: content that fails is parsed, and fails, anew.
+_DOMAINS: dict[bytes, _Domain] = table()
+
+
 @dataclass
 class Scenario:
+    """A parsed scenario.  Its states and actions lists are its own; its
+    registry, action templates, name-to-action map and compiled ``model``
+    may be shared with every scenario whose ``states`` and ``actions``
+    sections have equal content.  Its tree is its own, built from
+    ``bt_spec`` against the shared registry and map.
+
+    ``domain`` hands a parse's shared parts in; without it they are built
+    from ``states`` and ``actions``."""
+
     name: str
     states: list[StateVar]
     actions: list[ActionTemplate]
@@ -57,15 +102,21 @@ class Scenario:
     deterministic: bool = True
     seed: int = 0
     source: str = "<memory>"
+    domain: InitVar[Optional[_Domain]] = None
     model: CompiledModel = field(init=False, repr=False, compare=False)
     #: number of tree nodes, fixed at parse like the nodes' pre-order ids
     bt_nodes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # built once and shared by every episode: ticking changes no tree node
-        self._registry = StateRegistry(self.states)
-        self._actions_by_name = {a.name: a for a in self.actions}
+    def __post_init__(self, domain: Optional[_Domain]):
+        if domain is None:
+            domain = _domain(StateRegistry(self.states), self.actions)
+        # shared by every episode: ticking changes no tree node
+        self._registry = domain.registry
+        self._actions_by_name = domain.actions_by_name
+        self.model = domain.model
+        # through the module attribute, which perfbench's traced run wraps
         self._tree = bt.build_tree(self.bt_spec, self._registry, self._actions_by_name)
+        # the one walk of the tree: its pre-order ids, count and prior leaves
         nodes = bt.assign_ids(self._tree)
         self.bt_nodes = len(nodes)
         idle = self._actions_by_name.get(IDLE)
@@ -75,12 +126,11 @@ class Scenario:
             # stay a candidate, so it may not declare postconditions
             raise ScenarioError(self.source, f"a tree with prior leaves needs an {IDLE!r} "
                                              "action without postconditions")
-        self.model = compile_model(self._registry, self.actions)
 
     def registry(self) -> StateRegistry:
         return self._registry
 
-    def actions_by_name(self) -> dict[str, ActionTemplate]:
+    def actions_by_name(self) -> Mapping[str, ActionTemplate]:
         return self._actions_by_name
 
     def build_tree(self) -> bt.BTNode:
@@ -149,6 +199,8 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
         if sid not in transitions:
             raise ScenarioError(
                 source, f"action {name}: transition for {sid!r} has no postcondition")
+    for b in transitions.values():
+        b.flags.writeable = False   # shared by every scenario of equal content
     # parameters name what a grounded action acts on; the planner reads
     # only the grounded name, but a malformed list is still an error
     strict_str_list(raw.get("parameters", []), f"action {name}: parameters")
@@ -173,7 +225,13 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
 
 def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
     """Parse and validate a scenario document; any malformed document raises
-    :class:`ScenarioError`."""
+    :class:`ScenarioError`.
+
+    The states and actions sections are parsed once per content: a document
+    whose sections equal, type for type, those of an earlier document that
+    parsed reuses its states, action templates, registry, name-to-action map
+    and compiled model (see :data:`_DOMAINS`).  Everything else, the tree
+    among it, is parsed and checked anew."""
     try:
         return _scenario_from_dict(data, source)
     except ScenarioError:
@@ -196,19 +254,16 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         if key not in data:
             raise ScenarioError(source, f"missing section {key!r}")
 
-    states = []
-    for raw in data["states"]:
-        try:
-            labels = tuple(strict_str_list(raw["values"], "values"))
-            states.append(StateVar(strict_str(raw["id"], "state id"), len(labels), labels))
-        except (KeyError, TypeError, DomainError) as exc:
-            raise ScenarioError(source, f"bad state entry {raw!r}: {exc}") from exc
-    registry = StateRegistry(states)
-
-    actions = [_parse_action(raw, registry, source) for raw in data["actions"]]
-    names = [a.name for a in actions]
-    if len(set(names)) != len(names):
-        raise ScenarioError(source, "duplicate action names")
+    try:
+        key = marshal.dumps([data["states"], data["actions"]], 2)
+    except ValueError:
+        key = None   # a subclass, a foreign type, or too deep or recursive
+    domain = _DOMAINS.get(key)
+    if domain is None:
+        domain = _parse_domain(data, source)
+        if key is not None and not _holds_bytes(marshal.loads(key)):
+            remember(_DOMAINS, key, domain)
+    registry = domain.registry
 
     world = data["world"]
     fluents = {strict_str(k, "world.fluents key"): strict_int(v, f"world.fluents[{k}]")
@@ -272,8 +327,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
 
     return Scenario(
         name=strict_str(data["name"], "name"),
-        states=states,
-        actions=actions,
+        states=list(domain.states),
+        actions=list(domain.actions),
         bt_spec=data["bt"],
         fluents=fluents,
         observable=observable,
@@ -283,7 +338,42 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         deterministic=strict_bool(data.get("deterministic", True), "deterministic"),
         seed=seed,
         source=source,
+        domain=domain,
     )
+
+
+def _parse_domain(data: dict, source: str) -> _Domain:
+    """Parse and validate the ``states`` and ``actions`` sections."""
+    states = []
+    for raw in data["states"]:
+        try:
+            labels = tuple(strict_str_list(raw["values"], "values"))
+            states.append(StateVar(strict_str(raw["id"], "state id"), len(labels), labels))
+        except (KeyError, TypeError, DomainError) as exc:
+            raise ScenarioError(source, f"bad state entry {raw!r}: {exc}") from exc
+    registry = StateRegistry(states)
+
+    actions = [_parse_action(raw, registry, source) for raw in data["actions"]]
+    names = [a.name for a in actions]
+    if len(set(names)) != len(names):
+        raise ScenarioError(source, "duplicate action names")
+    return _domain(registry, actions)
+
+
+def _holds_bytes(content) -> bool:
+    """Whether unmarshalled ``content`` holds a bytes object anywhere: the
+    mark of a buffer object in the content it was marshalled from."""
+    stack = [content]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, bytes):
+            return True
+        if isinstance(node, dict):
+            stack.extend(node)
+            stack.extend(node.values())
+        elif isinstance(node, (list, tuple, set, frozenset)):
+            stack.extend(node)
+    return False
 
 
 def parse_scenario(path) -> Scenario:

@@ -584,6 +584,9 @@ def test_run_episode_compiles_one_model(monkeypatch, name):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CompiledModel, "__init__", counting_init)
+    # a parse finds the model of equal states and actions in the table, so
+    # empty it: the parse then compiles the one model the episode reads
+    inference.clear_tables()
     result = run_episode(parse_scenario(shipped_scenario_path(name)))
     assert result.outcome == "Goal" and result.ticks > 1
     assert len(built) == 1

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import importlib
 import itertools
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import btai
@@ -165,22 +167,57 @@ class TestSharedScenario:
         count(bt, "build_tree")
         count(scenario_mod, "compile_model")
         count(StateRegistry, "__init__")
-        # node ids and the node count are fixed at parse: an episode does
-        # not walk or renumber the shared tree
+        # node ids and the node count are fixed at parse, in one walk: an
+        # episode does not walk or renumber the shared tree
         count(bt, "assign_ids")
         count(bt, "node_count")
-        for name in SHIPPED:
+
+        def parse(data, name):
             calls.clear()
-            sc = parse_scenario(shipped_scenario_path(name))
-            assert calls["build_tree"] == calls["compile_model"] == 1, name
-            assert calls["assign_ids"] <= 2, name   # build_tree's and the count's
+            sc = scenario_mod.scenario_from_dict(data, source=name)
+            assert calls["assign_ids"] == 1, name
+            # StateRegistry.__init__ counts under "__init__"
+            return (calls["__init__"], calls["compile_model"], calls["build_tree"]), sc
+
+        for name in SHIPPED:
+            data = yaml.safe_load(shipped_scenario_path(name).read_text())
+            inference.clear_tables()
+            # cold: the registry, the model and the tree are built once
+            built, sc = parse(data, name)
+            assert built == (1, 1, 1), name
+            # equal states and actions: only the tree is built again
+            built, _ = parse(copy.deepcopy(data), name)
+            assert built == (0, 0, 1), name
+            inference.clear_tables()
+            built, _ = parse(copy.deepcopy(data), name)
+            assert built == (1, 1, 1), name
             calls.clear()
             sc.make_world()
-            assert run_episode(sc).bt_nodes == self.BT_NODES[name]
+            assert run_episode(sc).bt_nodes == sc.bt_nodes == self.BT_NODES[name]
             assert not calls, (name, calls)
             assert sc.build_tree() is sc.build_tree()
             assert sc.registry() is sc.registry()
             assert sc.actions_by_name() is sc.actions_by_name()
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_equal_content_shares_the_domain_not_the_lists(self, name):
+        data = yaml.safe_load(shipped_scenario_path(name).read_text())
+        a = scenario_mod.scenario_from_dict(data)
+        b = scenario_mod.scenario_from_dict(copy.deepcopy(data))
+        assert a.registry() is b.registry()
+        assert a.model is b.model
+        assert a.actions_by_name() is b.actions_by_name()
+        assert all(x is y for x, y in zip(a.actions, b.actions))
+        # the lists are each scenario's own, and the tree too
+        assert a.states is not b.states and a.actions is not b.actions
+        assert a.states == b.states
+        assert a.build_tree() is not b.build_tree()
+        # the shared parts cannot be changed through either scenario
+        with pytest.raises(TypeError):
+            a.actions_by_name()["x"] = a.actions[0]
+        for action in a.actions:
+            for matrix in action.transitions.values():
+                assert not matrix.flags.writeable
 
 
 class TestSafety:
