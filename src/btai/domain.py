@@ -1,5 +1,6 @@
-"""Symbolic world model: states, predicates, action templates and the
-run-time prior (preference) bookkeeping.
+"""Symbolic world model: states, predicates, action templates, the domain
+they form with the planner's compiled model, and the run-time prior
+(preference) bookkeeping.
 
 States are small categorical variables; beliefs over them live on the simplex.
 Observations, the logical state and predicates name a state's value by its
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,9 +52,9 @@ class StateVar:
             raise DomainError(f"state {self.id}: need {self.m} unique value labels")
 
 
-@dataclass(frozen=True)
-class Predicate:
-    """Run-time check that a state currently has a specific value."""
+class Predicate(NamedTuple):
+    """Run-time check that a state currently has a specific value; equal to
+    the ``(state_id, index)`` pair of a postcondition or prior target."""
 
     state_id: str
     required_index: int
@@ -218,6 +220,33 @@ class StateRegistry:
                     raise DomainError(
                         f"action {action.name}: transition[{sid}] column {j} does not "
                         f"move mass toward postcondition index {target}")
+
+
+class Domain(NamedTuple):
+    """A domain's states and actions with what the planner and the tree read
+    of them, built by :func:`compile_domain`.  Nothing changes a part after
+    it is built: the tuples and the registry are fixed, the map is a mapping
+    proxy, and a parsed action's transition matrices are read-only arrays."""
+
+    states: tuple[StateVar, ...]
+    actions: tuple[ActionTemplate, ...]
+    registry: StateRegistry
+    actions_by_name: Mapping[str, ActionTemplate]
+    model: CompiledModel
+
+
+def compile_domain(registry: StateRegistry, actions: Sequence[ActionTemplate]) -> Domain:
+    """The domain of ``registry``'s states and ``actions``, which must be
+    valid against it (see :meth:`StateRegistry.validate_action`)."""
+    return Domain(
+        tuple(registry), tuple(actions), registry,
+        MappingProxyType({a.name: a for a in actions}),
+        CompiledModel(
+            {s.id: s.m for s in registry},
+            {s.id: {a.name: a.transitions[s.id] for a in actions if s.id in a.transitions}
+             for s in registry},
+        ),
+    )
 
 
 def update_beliefs(

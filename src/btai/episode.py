@@ -24,7 +24,6 @@ from .domain import (
     ActionTemplate,
     Predicate,
     PriorSet,
-    StateRegistry,
     holds,
     logical_state,
     update_beliefs,
@@ -49,11 +48,8 @@ class EpisodeContext:
 
     def __init__(self, world: World, scenario: Scenario, priors: PriorSet):
         self.world = world
-        self.registry = scenario.registry()
-        self.actions = scenario.actions
-        self.actions_by_name = scenario.actions_by_name()
+        self.domain = scenario.domain
         self.priors = priors
-        self.model = scenario.model
         self.resume: dict[BTNode, int] = {}   # Sequence memory (see bt.Sequence)
         self.beliefs: dict[str, np.ndarray] = {}
         self.observations: dict[str, Optional[int]] = {}
@@ -87,14 +83,14 @@ class EpisodeContext:
             if result.status == "succeeded":
                 return TickStatus.SUCCESS
             return TickStatus.FAILURE
-        self._drive(self.actions_by_name[node.action_name])
+        self._drive(self.domain.actions_by_name[node.action_name])
         return TickStatus.RUNNING
 
     def prior_tick(self, node: Prior) -> TickStatus:
         self.priors.set_nominal(node, node.targets)
         verdict = adaptive_select(
-            self.priors, self.beliefs, self.observations, self.actions,
-            self.logical, self.registry, self.model, execute=self._drive,
+            self.priors, self.beliefs, self.observations, self.logical,
+            self.domain, execute=self._drive,
         )
         self.verdicts.append((node.node_id, verdict))
         return verdict.status
@@ -146,17 +142,16 @@ def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
         "node": node_id,
         "status": verdict.status.value,
         "action": verdict.action.name if verdict.action else None,
-        "pushed": [[p.state_id, p.required_index] for p in verdict.pushed],
-        "removed_pushed": [[p.state_id, p.required_index]
-                           for p in verdict.removed_pushed],
+        "pushed": [list(p) for p in verdict.pushed],
+        "removed_pushed": [list(p) for p in verdict.removed_pushed],
         "chain": list(verdict.chain),
         "calls": calls,
     }
 
 
-def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus,
-                 registry: StateRegistry) -> dict:
+def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus) -> dict:
     # field order is fixed on purpose: traces must be byte-reproducible
+    registry = ctx.domain.registry
     return {
         "tick": tick,
         "observations": {s.id: ctx.observations[s.id] for s in registry},
@@ -179,14 +174,16 @@ def run_episode(
     budget: Optional[int] = None,
     trace_path=None,
 ) -> EpisodeResult:
-    registry = scenario.registry()
+    budget = scenario.budget_ticks if budget is None else budget
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1 (got {budget})")
+    domain = scenario.domain
     tree = scenario.build_tree()
     world = scenario.make_world(seed=seed, deterministic=deterministic)
-    budget = scenario.budget_ticks if budget is None else budget
 
     priors = PriorSet()
     ctx = EpisodeContext(world, scenario, priors)
-    beliefs = registry.uniform_beliefs()
+    beliefs = domain.registry.uniform_beliefs()
 
     records: list[dict] = []
     started: list[str] = []
@@ -196,7 +193,7 @@ def run_episode(
 
     for tick in range(budget):
         observations = world.observe()
-        beliefs = update_beliefs(beliefs, observations, world.last_completed, ctx.model)
+        beliefs = update_beliefs(beliefs, observations, world.last_completed, domain.model)
         logical = logical_state(beliefs)
         if (world.last_result is not None
                 and world.last_result.status == "succeeded"):
@@ -211,8 +208,8 @@ def run_episode(
         for _, verdict in ctx.verdicts:
             if verdict.chain:
                 tick_chains.extend(split_prepares_segments(
-                    verdict.chain, ctx.actions_by_name))
-        records.append(_make_record(tick, ctx, status, registry))
+                    verdict.chain, domain.actions_by_name))
+        records.append(_make_record(tick, ctx, status))
         if status == TickStatus.SUCCESS:
             outcome = GOAL
             break

@@ -113,7 +113,7 @@ class Factor:
     Construction validates every part; each B is checked by :func:`_intern`,
     so a content already interned is not checked again.  Factors reach the
     planner compiled, through :meth:`CompiledModel.from_factors`; a
-    scenario's states through :func:`btai.selector.compile_model`.
+    scenario's states through :func:`btai.domain.compile_domain`.
     """
 
     transitions: Mapping[str, np.ndarray]    # action name -> B, m x m

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import importlib.resources
 import marshal
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 import yaml
@@ -20,11 +19,13 @@ import yaml
 from . import bt
 from .domain import (
     ActionTemplate,
+    Domain,
     DomainError,
     Predicate,
     StateRegistry,
     StateVar,
     achieve_matrix,
+    compile_domain,
     strict_bool,
     strict_float,
     strict_int,
@@ -32,7 +33,6 @@ from .domain import (
     strict_str_list,
 )
 from .inference import IDLE, CompiledModel, remember, table
-from .selector import compile_model
 from .world import PerturbationEvent, World
 
 FORMAT_VERSION = "btai-scenario/1"
@@ -46,29 +46,8 @@ class ScenarioError(ValueError):
         self.source = source
 
 
-class _Domain(NamedTuple):
-    """What a document's ``states`` and ``actions`` sections parse to,
-    shared by every scenario parsed from equal sections.  Nothing changes a
-    part after the parse; the map is a mapping proxy and the templates'
-    transition matrices are read-only arrays."""
-
-    states: tuple[StateVar, ...]
-    actions: tuple[ActionTemplate, ...]
-    registry: StateRegistry
-    actions_by_name: Mapping[str, ActionTemplate]
-    model: CompiledModel
-
-
-def _domain(registry: StateRegistry, actions) -> _Domain:
-    """The shared parts of ``registry``'s states and ``actions``, which must
-    be valid against it (see :meth:`StateRegistry.validate_action`)."""
-    return _Domain(tuple(registry), tuple(actions), registry,
-                   MappingProxyType({a.name: a for a in actions}),
-                   compile_model(registry, actions))
-
-
 # The process-wide table of parsed sections: the marshal bytes, version 2,
-# of [states section, actions section] -> their _Domain.  Marshal is exact
+# of [states section, actions section] -> their Domain.  Marshal is exact
 # for the types it writes: True, 1 and 1.0 differ, and so do -0.0 and 0.0,
 # and a list and a tuple.  Version 2 writes no back-references, so the bytes
 # depend on the content alone, not on which objects it shares.  A subclass
@@ -76,23 +55,19 @@ def _domain(registry: StateRegistry, actions) -> _Domain:
 # object: bytes, bytearray, numpy arrays and numpy scalars all marshal as
 # bytes, so no entry is stored for content that holds one.  Only sections
 # that parsed are stored: content that fails is parsed, and fails, anew.
-_DOMAINS: dict[bytes, _Domain] = table()
+_DOMAINS: dict[bytes, Domain] = table()
 
 
 @dataclass
 class Scenario:
-    """A parsed scenario.  Its states and actions lists are its own; its
-    registry, action templates, name-to-action map and compiled ``model``
-    may be shared with every scenario whose ``states`` and ``actions``
-    sections have equal content.  Its tree is its own, built from
-    ``bt_spec`` against the shared registry and map.
-
-    ``domain`` hands a parse's shared parts in; without it they are built
-    from ``states`` and ``actions``."""
+    """A parsed scenario.  Its ``domain`` (states, actions, registry,
+    name-to-action map and compiled model) is shared with every scenario
+    whose ``states`` and ``actions`` sections have equal content, and with
+    every copy made by :func:`dataclasses.replace`.  Its tree is its own,
+    built from ``bt_spec`` against the domain's registry and map."""
 
     name: str
-    states: list[StateVar]
-    actions: list[ActionTemplate]
+    domain: Domain
     bt_spec: dict
     fluents: dict[str, int]
     observable: dict[str, bool]
@@ -102,24 +77,18 @@ class Scenario:
     deterministic: bool = True
     seed: int = 0
     source: str = "<memory>"
-    domain: InitVar[Optional[_Domain]] = None
-    model: CompiledModel = field(init=False, repr=False, compare=False)
     #: number of tree nodes, fixed at parse like the nodes' pre-order ids
     bt_nodes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, domain: Optional[_Domain]):
-        if domain is None:
-            domain = _domain(StateRegistry(self.states), self.actions)
+    def __post_init__(self):
+        # through the module attribute, which perfbench's traced run wraps;
         # shared by every episode: ticking changes no tree node
-        self._registry = domain.registry
-        self._actions_by_name = domain.actions_by_name
-        self.model = domain.model
-        # through the module attribute, which perfbench's traced run wraps
-        self._tree = bt.build_tree(self.bt_spec, self._registry, self._actions_by_name)
+        self._tree = bt.build_tree(self.bt_spec, self.domain.registry,
+                                   self.domain.actions_by_name)
         # the one walk of the tree: its pre-order ids, count and prior leaves
         nodes = bt.assign_ids(self._tree)
         self.bt_nodes = len(nodes)
-        idle = self._actions_by_name.get(IDLE)
+        idle = self.domain.actions_by_name.get(IDLE)
         if (any(node.kind == "prior" for node in nodes)
                 and (idle is None or idle.postconditions)):
             # the selector answers "no action needed" with Idle, which must
@@ -127,11 +96,23 @@ class Scenario:
             raise ScenarioError(self.source, f"a tree with prior leaves needs an {IDLE!r} "
                                              "action without postconditions")
 
+    @property
+    def states(self) -> tuple[StateVar, ...]:
+        return self.domain.states
+
+    @property
+    def actions(self) -> tuple[ActionTemplate, ...]:
+        return self.domain.actions
+
+    @property
+    def model(self) -> CompiledModel:
+        return self.domain.model
+
     def registry(self) -> StateRegistry:
-        return self._registry
+        return self.domain.registry
 
     def actions_by_name(self) -> Mapping[str, ActionTemplate]:
-        return self._actions_by_name
+        return self.domain.actions_by_name
 
     def build_tree(self) -> bt.BTNode:
         return self._tree
@@ -139,7 +120,7 @@ class Scenario:
     def make_world(self, seed: Optional[int] = None,
                    deterministic: Optional[bool] = None) -> World:
         return World(
-            self._registry,
+            self.domain.registry,
             self.fluents,
             self.observable,
             seed=self.seed if seed is None else seed,
@@ -327,8 +308,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
 
     return Scenario(
         name=strict_str(data["name"], "name"),
-        states=list(domain.states),
-        actions=list(domain.actions),
+        domain=domain,
         bt_spec=data["bt"],
         fluents=fluents,
         observable=observable,
@@ -338,11 +318,10 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         deterministic=strict_bool(data.get("deterministic", True), "deterministic"),
         seed=seed,
         source=source,
-        domain=domain,
     )
 
 
-def _parse_domain(data: dict, source: str) -> _Domain:
+def _parse_domain(data: dict, source: str) -> Domain:
     """Parse and validate the ``states`` and ``actions`` sections."""
     states = []
     for raw in data["states"]:
@@ -357,7 +336,7 @@ def _parse_domain(data: dict, source: str) -> _Domain:
     names = [a.name for a in actions]
     if len(set(names)) != len(names):
         raise ScenarioError(source, "duplicate action names")
-    return _domain(registry, actions)
+    return compile_domain(registry, actions)
 
 
 def _holds_bytes(content) -> bool:

@@ -13,8 +13,8 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .bt import TickStatus
-from .domain import ActionTemplate, Predicate, PriorSet, StateRegistry, holds
-from .inference import IDLE, CompiledModel, InferenceOutcome, run_active_inference
+from .domain import ActionTemplate, Domain, Predicate, PriorSet, holds
+from .inference import IDLE, InferenceOutcome, run_active_inference
 
 
 @dataclass
@@ -36,17 +36,6 @@ class SelectorVerdict:
     calls: list[InferenceCall] = field(default_factory=list)
 
 
-def compile_model(registry: StateRegistry,
-                  actions: Sequence[ActionTemplate]) -> CompiledModel:
-    """The planner's model of a domain whose actions were validated against
-    ``registry`` (see :meth:`StateRegistry.validate_action`)."""
-    return CompiledModel(
-        {s.id: s.m for s in registry},
-        {s.id: {a.name: a.transitions[s.id] for a in actions if s.id in a.transitions}
-         for s in registry},
-    )
-
-
 def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
     """An action is a candidate unless all its declared postconditions
     already hold: such an action cannot improve anything, yet the entropy
@@ -64,19 +53,16 @@ def adaptive_select(
     priors: PriorSet,
     beliefs: Mapping[str, np.ndarray],
     observations: Mapping[str, Optional[int]],
-    actions: Sequence[ActionTemplate],
     logical: Mapping[str, int],
-    registry: StateRegistry,
-    model: CompiledModel,
+    domain: Domain,
     execute: Optional[Callable[[ActionTemplate], None]] = None,
 ) -> SelectorVerdict:
     """One adaptive-selection round for the currently set preferences.
 
     ``beliefs`` and ``logical`` must already reflect this tick's
-    ``observations`` (value indices, None where unobserved); ``model`` is
-    the scenario's compiled model of ``registry`` and ``actions`` (see
-    :func:`compile_model`); ``execute`` is invoked with the action to start
-    or continue.
+    ``observations`` (value indices, None where unobserved); the candidates,
+    the preferences' states and the planner's model come from ``domain``;
+    ``execute`` is invoked with the action to start or continue.
     """
     verdict = SelectorVerdict(status=TickStatus.RUNNING)
 
@@ -86,22 +72,21 @@ def adaptive_select(
             priors.remove_pushed(pred.state_id)
             verdict.removed_pushed.append(pred)
 
-    by_name = {a.name: a for a in actions}
     # the logical state is fixed for the call, and with it the viable set
-    viable = [a.name for a in actions if _viable(a, logical)]
+    viable = [a.name for a in domain.actions if _viable(a, logical)]
     excluded: set[str] = set()
 
     while True:
         candidates = [name for name in viable if name not in excluded]
-        preferences = priors.assemble_all(registry)
-        outcome = run_active_inference(model, candidates, observations, beliefs,
+        preferences = priors.assemble_all(domain.registry)
+        outcome = run_active_inference(domain.model, candidates, observations, beliefs,
                                        preferences)
         verdict.calls.append(InferenceCall(
             preferences=preferences,
             candidates=candidates,
             outcome=outcome,
         ))
-        chosen = by_name[outcome.chosen_action]
+        chosen = domain.actions_by_name[outcome.chosen_action]
 
         if chosen.name == IDLE:
             if verdict.chain:
@@ -128,8 +113,7 @@ def adaptive_select(
 def prepares(later: ActionTemplate, earlier: ActionTemplate) -> bool:
     """True when the later-selected action prepares the earlier one: its
     postconditions lie within the earlier action's precondition set."""
-    doa = {(p.state_id, p.required_index) for p in earlier.preconditions}
-    return set(later.postconditions) <= doa
+    return set(later.postconditions) <= set(earlier.preconditions)
 
 
 def split_prepares_segments(chain: Sequence[str],

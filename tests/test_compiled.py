@@ -20,6 +20,7 @@ from btai.domain import (
     ActionTemplate,
     StateRegistry,
     StateVar,
+    compile_domain,
     update_beliefs,
 )
 from btai.episode import run_episode, write_trace
@@ -37,7 +38,6 @@ from btai.inference import (
     variational_free_energy,
 )
 from btai.scenario import parse_scenario, scenario_from_dict, shipped_scenario_path
-from btai.selector import compile_model
 
 
 def uncached_round(transitions, beliefs, preferences, actions, observations):
@@ -456,7 +456,7 @@ def test_update_beliefs_equals_term_by_term_formula(seed):
                               else random_stochastic(rng, s.m))
                        for s in states if rng.random() < 0.6}
         actions.append(ActionTemplate(f"act{k}", transitions=transitions))
-    model = compile_model(registry, actions)
+    model = compile_domain(registry, actions).model
     for _ in range(4):
         beliefs, observations, expected = {}, {}, {}
         last = actions[int(rng.integers(len(actions)))] if rng.random() < 0.8 else None
@@ -504,7 +504,7 @@ def test_perception_evidence_is_the_likelihood_product(seed):
 @pytest.mark.parametrize("index", [True, np.int64(1)])
 def test_an_integer_like_index_is_perceived_as_its_int_value(index):
     registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
-    model = compile_model(registry, [ActionTemplate("Idle")])
+    model = compile_domain(registry, [ActionTemplate("Idle")]).model
     d = np.array([0.4, 0.6])
     out = update_beliefs({"s": d}, {"s": index}, None, model)
     assert out["s"].tobytes() == term_by_term_belief(d, np.eye(2)[1], None).tobytes()
@@ -513,7 +513,7 @@ def test_an_integer_like_index_is_perceived_as_its_int_value(index):
 @pytest.mark.parametrize("index", [1.0, "1"])
 def test_a_non_integer_index_raises(index):
     registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
-    model = compile_model(registry, [ActionTemplate("Idle")])
+    model = compile_domain(registry, [ActionTemplate("Idle")]).model
     with pytest.raises(TypeError):
         update_beliefs({"s": np.array([0.4, 0.6])}, {"s": index}, None, model)
 
@@ -561,7 +561,7 @@ def test_an_out_of_range_index_raises_cold_and_warm(index):
     # numpy would read -1 as the last value and raise IndexError for 2
     inference.clear_tables()
     registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
-    model = compile_model(registry, [ActionTemplate("Idle")])
+    model = compile_domain(registry, [ActionTemplate("Idle")]).model
     d = {"s": np.array([0.4, 0.6])}
     for _ in range(2):
         with pytest.raises(ModelError, match="out of range"):

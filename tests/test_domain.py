@@ -12,6 +12,7 @@ from btai.domain import (
     StateVar,
     UnknownStateError,
     achieve_matrix,
+    compile_domain,
     holds,
     logical_state,
     strict_float,
@@ -19,7 +20,6 @@ from btai.domain import (
     strict_str_list,
     update_beliefs,
 )
-from btai.selector import compile_model
 
 
 def make_registry():
@@ -108,7 +108,7 @@ class TestUpdateBeliefs:
         reg = make_registry()
         beliefs = reg.uniform_beliefs()
         obs = {"isAt": 1, "isHolding": None}
-        out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
+        out = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
         assert out["isAt"][1] == pytest.approx(1.0, abs=1e-9)
         assert out["isAt"][0] == pytest.approx(1e-16, rel=0.5)
 
@@ -116,28 +116,28 @@ class TestUpdateBeliefs:
         reg = make_registry()
         beliefs = {"isAt": np.array([0.7, 0.3]), "isHolding": np.array([0.5, 0.5])}
         obs = {"isAt": None, "isHolding": None}
-        out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
+        out = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
         assert out["isAt"] == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_unknown_state_in_observation(self):
         reg = make_registry()
         obs = {"ghost": 0}
         with pytest.raises(UnknownStateError):
-            update_beliefs(reg.uniform_beliefs(), obs, None, compile_model(reg, []))
+            update_beliefs(reg.uniform_beliefs(), obs, None, compile_domain(reg, []).model)
 
     def test_contradiction_flips_within_two_updates(self):
         reg = make_registry()
         beliefs = {"isAt": np.array([1.0, 0.0]), "isHolding": np.array([0.5, 0.5])}
         obs = {"isAt": 1, "isHolding": None}
-        beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
-        beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
+        beliefs = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
+        beliefs = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
         assert logical_state(beliefs)["isAt"] == 1
 
     def test_noiseless_observation_sets_logical_state(self):
         reg = make_registry()
         beliefs = reg.uniform_beliefs()
         obs = {"isAt": 0, "isHolding": 1}
-        out = update_beliefs(beliefs, obs, None, compile_model(reg, []))
+        out = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
         logical = logical_state(out)
         assert logical["isAt"] == 0
         assert logical["isHolding"] == 1
@@ -148,7 +148,7 @@ class TestUpdateBeliefs:
         beliefs = reg.uniform_beliefs()
         for _ in range(20):
             obs = {s.id: int(rng.integers(2)) for s in reg}
-            beliefs = update_beliefs(beliefs, obs, None, compile_model(reg, []))
+            beliefs = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
             for b in beliefs.values():
                 assert b.sum() == pytest.approx(1.0, abs=1e-9)
 

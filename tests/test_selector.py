@@ -9,13 +9,17 @@ from btai.domain import (
     StateRegistry,
     StateVar,
     achieve_matrix,
+    compile_domain,
+    holds,
     logical_state,
+    update_beliefs,
 )
+from btai.inference import IDLE, run_active_inference
 from btai.selector import (
+    _viable,
     adaptive_select,
     chain_trace,
     chain_links_ok,
-    compile_model,
     prepares,
 )
 
@@ -63,8 +67,8 @@ class TestAdaptiveSelect:
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
         executed = []
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical,
-                                  registry, compile_model(registry, actions),
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions),
                                   execute=executed.append)
         assert verdict.status == TickStatus.RUNNING
         assert verdict.action.name == "moveTo(shelf)"
@@ -79,8 +83,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 0, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
-                                  compile_model(registry, actions))
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
         assert verdict.status == TickStatus.SUCCESS
         assert verdict.action is None
         assert verdict.chain == []
@@ -93,8 +97,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
-                                  compile_model(registry, actions))
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
         assert verdict.status == TickStatus.FAILURE
         assert verdict.chain  # something was tried before giving up
 
@@ -105,8 +109,8 @@ class TestAdaptiveSelect:
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
         priors.push(Predicate("isReachable", 0))
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
-                                  compile_model(registry, actions))
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
         assert Predicate("isReachable", 0) in verdict.removed_pushed
         assert priors.pushed_predicates() == []
         # with the precondition met, Pick itself is selected
@@ -118,8 +122,8 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 0})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
-                                  compile_model(registry, actions))
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
         assert verdict.status == TickStatus.RUNNING
         assert verdict.chain == ["Pick"]
         assert verdict.pushed == []
@@ -130,11 +134,45 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        verdict = adaptive_select(priors, beliefs, obs, actions, logical, registry,
-                                  compile_model(registry, actions))
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
         assert len(verdict.calls) == 2  # Pick blocked, then moveTo(shelf)
         assert "Pick" in verdict.calls[0].candidates
         assert "Pick" not in verdict.calls[1].candidates
+
+
+def test_a_tied_belief_is_read_four_ways():
+    """Pins how the four readings of one state's value disagree after a
+    confident belief meets a contradicting noiseless observation.  ROADMAP
+    items 8(c) and 11(c) decide how a tied belief is read; the change that
+    makes that decision updates this test.
+
+    The belief is within 1e-9 of a tie but not exactly tied, and the tie
+    rule, not the exact bits, decides the logical value (see ROADMAP item
+    13), so the tie is asserted to that tolerance.  Then: the observation
+    reads 1; ``logical_state`` reads 0, and so do ``holds`` and the viable
+    check; the planner's satisfied check folds the observation in once more
+    and reads 1."""
+    registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
+    to_zero = ActionTemplate("set(s=0)", postconditions=(("s", 0),),
+                             transitions={"s": achieve_matrix(2, 0)})
+    domain = compile_domain(registry, [ActionTemplate(IDLE), to_zero])
+    observations = {"s": 1}
+    beliefs = update_beliefs({"s": np.array([1 - 1e-16, 1e-16])}, observations,
+                             None, domain.model)
+    assert abs(beliefs["s"][0] - beliefs["s"][1]) < 1e-9
+    logical = logical_state(beliefs)
+    assert observations["s"] == 1
+    assert logical == {"s": 0}
+    assert holds(Predicate("s", 0), logical)
+    assert not _viable(to_zero, logical)
+    candidates = [IDLE, to_zero.name]
+    prefers_one = run_active_inference(domain.model, candidates, observations, beliefs,
+                                       {"s": np.array([0.0, 1.0])})
+    assert prefers_one.chosen_action == IDLE
+    prefers_zero = run_active_inference(domain.model, candidates, observations, beliefs,
+                                        {"s": np.array([1.0, 0.0])})
+    assert prefers_zero.chosen_action != IDLE
 
 
 class TestPrepares:

@@ -152,10 +152,10 @@ class TestNoiseTracking:
         dynamics, the logical state matches the true fluent on at least 95%
         of 1000 idle ticks."""
         from btai.domain import logical_state, update_beliefs
-        from btai.selector import compile_model
+        from btai.domain import compile_domain
 
         reg = StateRegistry([StateVar("flag", 2, ("on", "off"))])
-        model = compile_model(reg, [])
+        model = compile_domain(reg, []).model
         w = World(reg, {"flag": 0}, {"flag": True}, seed=0, noise_p=0.2)
         beliefs = reg.uniform_beliefs()
         hits = 0
