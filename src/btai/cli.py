@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bt import export_graph, node_count
+from .bt import export_graph
 from .episode import report, run_episode
 from .scenario import ScenarioError, parse_scenario
 
@@ -108,16 +108,14 @@ def main(argv=None) -> int:
 
         if args.command == "validate":
             scenario = parse_scenario(args.scenario)
-            tree = scenario.build_tree()
             print(f"ok: {scenario.name} ({len(scenario.states)} states, "
-                  f"{len(scenario.actions)} actions, {node_count(tree)} bt nodes)")
+                  f"{len(scenario.actions)} actions, {scenario.bt_nodes} bt nodes)")
             return 0
 
         if args.command == "count-nodes":
             a = parse_scenario(args.scenario_a)
             b = parse_scenario(args.scenario_b)
-            na = node_count(a.build_tree())
-            nb = node_count(b.build_tree())
+            na, nb = a.bt_nodes, b.bt_nodes
             print(f"{a.name}: {na} nodes")
             print(f"{b.name}: {nb} nodes")
             print(f"ratio: {na / nb:.4f}")

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .inference import CompiledModel, ModelError, _intern, evidence, softmax
+from .inference import logical_state as logical_state   # re-exported for the tick
 
 NOMINAL_PREFERENCE = 1.0
 PUSHED_PREFERENCE = 2.0
@@ -280,20 +281,6 @@ def update_beliefs(
             v = v + evidence(state.identity[2], index)
         updated[sid] = softmax(v)
     return updated
-
-
-def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, int]:
-    """Index of each belief's most likely value; ties resolve to the lowest
-    index.
-
-    Entries within 1e-9 of the maximum count as tied, so the tie rule is not
-    decided by floating-point residue of the clamped-log updates."""
-    out: dict[str, int] = {}
-    for sid, b in beliefs.items():
-        values = np.asarray(b, dtype=float).tolist()
-        top = max(values)
-        out[sid] = [v >= top - 1e-9 for v in values].index(True)
-    return out
 
 
 def holds(pred: Predicate, logical: Mapping[str, int]) -> bool:

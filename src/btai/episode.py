@@ -14,7 +14,7 @@ import json
 import os
 import stat
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

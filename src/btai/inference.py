@@ -300,8 +300,22 @@ class InferenceOutcome:
         }
 
 
+def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, int]:
+    """Index of each belief's most likely value, by the one tie rule: entries
+    within 1e-9 of the maximum count as tied, so floating-point residue of
+    the clamped-log updates does not decide a tie, and a tie resolves to the
+    lowest index.  Each belief must already hold its state's observation, as
+    :func:`btai.domain.update_beliefs` leaves it."""
+    out: dict[str, int] = {}
+    for sid, b in beliefs.items():
+        values = np.asarray(b, dtype=float).tolist()
+        top = max(values)
+        out[sid] = [v >= top - 1e-9 for v in values].index(True)
+    return out
+
+
 def preferences_satisfied(index: int, preferences: np.ndarray) -> bool:
-    """True when a state's most likely value ``index`` is already a maximally
+    """True when the value ``index`` a state is read as is a maximally
     preferred one, i.e. no action can reduce that state's expected cost."""
     return not preferences[index] < preferences.max() - 1e-12
 
@@ -385,7 +399,8 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
          c: np.ndarray, row_key: tuple) -> tuple:
     """One state's part of a round over ``actions`` under preferences ``c``,
     built from the memo's terms and G values and remembered under
-    ``row_key`` (see :data:`_MEMO`), which holds the observed value index."""
+    ``row_key`` (see :data:`_MEMO`), which holds the observed value index.
+    The state is read as that index, else as the logical state of ``prior``."""
     d_key, index, _, c_key = row_key
     obs = [index, None]
     f_row, g_row, per_policy = [], [], []
@@ -407,12 +422,9 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
         per_policy.append(term[0])
         f_row.append(term[1])
         g_row.append(g)
-    # most likely value once this tick's observation is folded in: the
-    # exact argmax, lowest index on a tie (not logical_state's 1e-9 rule)
-    belief = prior
-    if index is not None:
-        belief = softmax(safe_log(prior) + evidence(state.identity[2], index))
-    satisfied = preferences_satisfied(int(np.argmax(belief)), c)
+    if index is None:
+        index = logical_state({None: prior})[None]
+    satisfied = preferences_satisfied(index, c)
     return remember(_MEMO, row_key, (tuple(f_row), tuple(g_row), tuple(per_policy),
                                      satisfied, next(_ROW_SERIALS)))
 
@@ -493,7 +505,8 @@ def run_active_inference(
     """One full action-selection round over all state factors of ``model``
     under this round's prior ``beliefs`` (D) and ``preferences`` (C) per
     state.  ``observations`` maps a state to its observed value index (None,
-    or no entry, where there is none).
+    or no entry, where there is none), which each belief must already hold,
+    as :func:`btai.domain.update_beliefs` leaves it.
 
     Builds one one-step policy per candidate action, takes each factor's row
     of per-policy beliefs, F and G from the process-wide memo, and then the

@@ -9,7 +9,7 @@ generator so a (scenario, seed) pair replays bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np

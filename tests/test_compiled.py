@@ -50,15 +50,19 @@ def uncached_round(transitions, beliefs, preferences, actions, observations):
     satisfied = True
     indices = observed_indices(observations)
     for sid in transitions:
-        d, c, o = beliefs[sid], preferences[sid], observations.get(sid)
+        d, c = beliefs[sid], preferences[sid]
         obs = [indices.get(sid), None]
         for p, action in enumerate(actions):
             bs = [transitions[sid].get(action, np.eye(len(d)))]
             s = update_posterior_states(bs, d, obs)
             f[p] += variational_free_energy(s, bs, d, obs)
             g[p] += expected_free_energy(s, c)
-        belief = d if o is None else softmax(safe_log(d) + safe_log(np.eye(len(d))).T @ o)
-        if c[int(np.argmax(belief))] < c.max() - 1e-12:
+        # the value the state is read as: its observed index, or else the
+        # logical tie rule: the first entry within 1e-9 of the top
+        value = obs[0]
+        if value is None:
+            value = [x >= max(d) - 1e-9 for x in d].index(True)
+        if c[value] < c.max() - 1e-12:
             satisfied = False
     pi = policy_posterior(f, g)
     chosen = "Idle" if satisfied else select_action(pi, actions)

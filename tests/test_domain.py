@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btai.domain import (
     ActionTemplate,
@@ -20,6 +21,7 @@ from btai.domain import (
     strict_str_list,
     update_beliefs,
 )
+from btai.inference import safe_log, softmax
 
 
 def make_registry():
@@ -151,6 +153,45 @@ class TestUpdateBeliefs:
             beliefs = update_beliefs(beliefs, obs, None, compile_domain(reg, []).model)
             for b in beliefs.values():
                 assert b.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_folding_the_observation_in_again_reads_the_observed_index(data):
+    """A belief from ``update_beliefs`` with observation k holds evidence
+    ln 1e-16 off index k, so its log at k beats every other entry's by at
+    least ln 1e16, less rounding.  Folding k in once more, as the planner's
+    satisfied check did before it read the observation, gives back exactly
+    k, also where the belief is within 1e-9 of a tie.  So reading the
+    observation changes no byte for an observed state."""
+    m = data.draw(st.integers(2, 4), label="m")
+    target = data.draw(st.integers(0, m - 1), label="target")
+    sparse = np.zeros((m, m))
+    for j in range(m):
+        hi, lo = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2))
+        weight = data.draw(st.sampled_from([1.0, 0.9, 0.5]))
+        sparse[hi, j] += weight
+        sparse[lo, j] += 1.0 - weight
+    absorbing = np.zeros((m, m))
+    absorbing[target] = 1.0
+    actions = {name: ActionTemplate(name, postconditions=(("s", target),),
+                                    transitions={"s": b})
+               for name, b in [("achieve", achieve_matrix(m, target)),
+                               ("identity", np.eye(m)), ("absorbing", absorbing),
+                               ("sparse", sparse)]}
+    registry = StateRegistry([StateVar("s", m, tuple(f"v{i}" for i in range(m)))])
+    model = compile_domain(registry, list(actions.values())).model
+    top = data.draw(st.integers(0, m - 1), label="top")
+    beliefs = {"s": data.draw(st.sampled_from([
+        np.eye(m)[top],
+        np.where(np.arange(m) == top, 1.0 - (m - 1) * 1e-16, 1e-16),
+        np.full(m, 1.0 / m)]), label="prior")}
+    log_identity = safe_log(np.eye(m))
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        action = actions.get(data.draw(st.sampled_from([None, *actions])))
+        k = data.draw(st.integers(0, m - 1))
+        beliefs = update_beliefs(beliefs, {"s": k}, action, model)
+        assert int(np.argmax(softmax(safe_log(beliefs["s"]) + log_identity[k]))) == k
 
 
 class TestLogicalState:

@@ -272,15 +272,10 @@ class TestHiddenState:
 
     GOAL_VALUES = {"isHolding": 0, "isAt": 0, "isPlacedAt": 0}
 
-    @pytest.mark.parametrize("hidden", [
-        None, "isReachable", "isLocationFree",
-        # 16, 16 and 8 of the 32 Goals are false: a hidden state's belief
-        # stays uniform, and the tie rule reads it as index 0, the target
-        pytest.param("isAt", marks=pytest.mark.xfail(strict=True)),
-        pytest.param("isPlacedAt", marks=pytest.mark.xfail(strict=True)),
-        pytest.param("isHolding", marks=pytest.mark.xfail(strict=True)),
-    ])
-    def test_no_goal_while_the_true_task_is_undone(self, hidden, monkeypatch):
+    def false_goals(self, monkeypatch, hidden, revealed_at=None):
+        """The initial fluents whose episode ends in a false Goal, with state
+        ``hidden`` unobserved from the start and, at tick ``revealed_at``,
+        observed again through a perturbation's ``observable`` map."""
         worlds = []
         make_world = scenario_mod.Scenario.make_world
 
@@ -298,12 +293,38 @@ class TestHiddenState:
             data["world"]["fluents"] = dict(zip(state_ids, values))
             if hidden is not None:
                 data["world"]["observable"] = {hidden: False}
+            if revealed_at is not None:
+                data["perturbations"] = [{"at_tick": revealed_at,
+                                          "observable": {hidden: True}}]
             result = run_episode(scenario_mod.scenario_from_dict(data))
             truth = worlds[-1].fluents
             if (result.outcome == "Goal"
                     and any(truth[sid] != idx for sid, idx in self.GOAL_VALUES.items())):
                 false_goals.append(values)
-        assert false_goals == []
+        return false_goals
+
+    @pytest.mark.parametrize("hidden", [
+        None, "isReachable", "isLocationFree",
+        # 16, 16 and 8 of the 32 Goals are false: a hidden state's belief
+        # stays uniform, and the tie rule reads it as index 0, the target
+        pytest.param("isAt", marks=pytest.mark.xfail(strict=True)),
+        pytest.param("isPlacedAt", marks=pytest.mark.xfail(strict=True)),
+        pytest.param("isHolding", marks=pytest.mark.xfail(strict=True)),
+    ])
+    def test_no_goal_while_the_true_task_is_undone(self, hidden, monkeypatch):
+        assert self.false_goals(monkeypatch, hidden) == []
+
+    # the paper's case: hidden at the start, then observed.  Revealing isAt,
+    # isHolding or isPlacedAt at tick 1 still leaves 4 false Goals each; at
+    # tick 10 it leaves 12, 8 and 16
+    @pytest.mark.parametrize("hidden", [
+        "isAt", "isHolding", "isPlacedAt", "isReachable", "isLocationFree"])
+    @pytest.mark.parametrize("revealed_at", [1, 10])
+    def test_no_goal_once_a_hidden_state_is_revealed(self, hidden, revealed_at,
+                                                      monkeypatch, request):
+        if hidden in self.GOAL_VALUES:
+            request.applymarker(pytest.mark.xfail(strict=True))
+        assert self.false_goals(monkeypatch, hidden, revealed_at) == []
 
 
 class TestTrace:

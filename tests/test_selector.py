@@ -151,8 +151,7 @@ def test_a_tied_belief_is_read_four_ways():
     rule, not the exact bits, decides the logical value (see ROADMAP item
     13), so the tie is asserted to that tolerance.  Then: the observation
     reads 1; ``logical_state`` reads 0, and so do ``holds`` and the viable
-    check; the planner's satisfied check folds the observation in once more
-    and reads 1."""
+    check; the planner reads the observation, 1."""
     registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
     to_zero = ActionTemplate("set(s=0)", postconditions=(("s", 0),),
                              transitions={"s": achieve_matrix(2, 0)})
@@ -173,6 +172,20 @@ def test_a_tied_belief_is_read_four_ways():
     prefers_zero = run_active_inference(domain.model, candidates, observations, beliefs,
                                         {"s": np.array([1.0, 0.0])})
     assert prefers_zero.chosen_action != IDLE
+
+
+def test_an_unobserved_near_tie_is_read_by_the_logical_tie_rule():
+    """Without an observation the planner reads a state by the tree's tie
+    rule, not by the exact argmax: a belief within 1e-9 of a tie reads as
+    index 0, which C prefers, so no action is needed."""
+    model = compile_domain(StateRegistry([StateVar("s", 2, ("a", "b"))]), [
+        ActionTemplate(IDLE), ActionTemplate("set(s=0)", postconditions=(("s", 0),),
+                                             transitions={"s": achieve_matrix(2, 0)})]).model
+    beliefs = {"s": np.array([0.5 - 1e-12, 0.5 + 1e-12])}
+    assert logical_state(beliefs) == {"s": 0}
+    out = run_active_inference(model, [IDLE, "set(s=0)"], {"s": None}, beliefs,
+                               {"s": np.array([1.0, 0.0])})
+    assert out.chosen_action == IDLE
 
 
 class TestPrepares:
