@@ -82,16 +82,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             scenario = parse_scenario(args.scenario)
-            if args.budget is not None and args.budget < 1:
-                print("error: --budget must be >= 1", file=sys.stderr)
+            try:
+                result = run_episode(scenario, seed=args.seed,
+                                     deterministic=args.deterministic,
+                                     budget=args.budget,
+                                     trace_path=args.trace_out)
+            except ValueError as exc:   # a --budget or --seed out of range
+                print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            if args.seed is not None and args.seed < 0:
-                print("error: --seed must be >= 0", file=sys.stderr)
-                return EXIT_USAGE
-            result = run_episode(scenario, seed=args.seed,
-                                 deterministic=args.deterministic,
-                                 budget=args.budget,
-                                 trace_path=args.trace_out)
             if not args.quiet:
                 sys.stdout.write(report(result))
             return result.exit_code

@@ -88,11 +88,11 @@ class EpisodeContext:
 
     def prior_tick(self, node: Prior) -> TickStatus:
         self.priors.set_nominal(node, node.targets)
-        verdict = adaptive_select(
-            self.priors, self.beliefs, self.observations, self.logical,
-            self.domain, execute=self._drive,
-        )
+        verdict = adaptive_select(self.priors, self.beliefs, self.observations,
+                                  self.logical, self.domain)
         self.verdicts.append((node.node_id, verdict))
+        if verdict.action is not None:
+            self._drive(verdict.action)
         return verdict.status
 
     # -- simulator interface --------------------------------------------
@@ -127,17 +127,14 @@ class EpisodeResult:
 
 
 def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
-    calls = []
-    for call in verdict.calls:
-        out = call.outcome
-        calls.append({
-            "candidates": list(call.candidates),
-            "preferences": {sid: c.tolist() for sid, c in call.preferences.items()},
-            "F": out.free_energy.tolist(),
-            "G": out.expected_free_energy.tolist(),
-            "policy_probs": out.policy_probs.tolist(),
-            "chosen": out.chosen_action,
-        })
+    calls = [{
+        "candidates": list(out.candidates),
+        "preferences": {sid: c.tolist() for sid, c in out.preferences.items()},
+        "F": out.free_energy.tolist(),
+        "G": out.expected_free_energy.tolist(),
+        "policy_probs": out.policy_probs.tolist(),
+        "chosen": out.chosen_action,
+    } for out in verdict.calls]
     return {
         "node": node_id,
         "status": verdict.status.value,
@@ -150,15 +147,15 @@ def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
 
 
 def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus) -> dict:
-    # field order is fixed on purpose: traces must be byte-reproducible
-    registry = ctx.domain.registry
+    # field order is fixed on purpose: traces must be byte-reproducible; the
+    # tick's state maps list the registry in order and no one changes them
     return {
         "tick": tick,
-        "observations": {s.id: ctx.observations[s.id] for s in registry},
-        "beliefs": {s.id: ctx.beliefs[s.id].tolist() for s in registry},
-        "logical": {s.id: ctx.logical[s.id] for s in registry},
-        "preferences": {sid: c.tolist()
-                        for sid, c in ctx.priors.assemble_all(registry).items()},
+        "observations": ctx.observations,
+        "beliefs": {sid: b.tolist() for sid, b in ctx.beliefs.items()},
+        "logical": ctx.logical,
+        "preferences": {sid: c.tolist() for sid, c in
+                        ctx.priors.assemble_all(ctx.domain.registry).items()},
         "selector": [_serialize_verdict(nid, v) for nid, v in ctx.verdicts],
         "started": list(ctx.started),
         "running": ctx.world.running.template.name if ctx.world.running else None,
@@ -177,6 +174,8 @@ def run_episode(
     budget = scenario.budget_ticks if budget is None else budget
     if budget < 1:
         raise ValueError(f"budget must be >= 1 (got {budget})")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
     domain = scenario.domain
     tree = scenario.build_tree()
     world = scenario.make_world(seed=seed, deterministic=deterministic)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ DEFAULT_HORIZON = 2
 PROB_TOL = 1e-9
 IDLE = "Idle"
 #: most entries a process-wide table (see :func:`table`) holds: one each for
-#: the interned matrices, the memo's terms, G values and rows, the rounds,
+#: the interned matrices, the memo's terms and rows, the rounds,
 #: the parsed document sections and the trace texts.  A full table is
 #: emptied before its next insert.
 TABLE_CAP = 4096
@@ -275,13 +274,15 @@ def select_action(policy_probs, candidates: Sequence):
     return candidates[int(np.argmax(pi))]
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceOutcome:
-    """Everything one action-selection round produced; policy ``p`` is the
-    one-step policy of the round's candidate ``p``.  The three vectors are
-    read-only views of one buffer that every round with the same rows
-    shares (see :data:`_ROUNDS`)."""
+    """One action-selection round: the ``candidates`` and ``preferences``
+    (state id -> C) it was scored under, and what it produced.  Policy ``p``
+    is candidate ``p``'s one-step policy.  The three vectors are read-only
+    views of one buffer shared by all rounds with its rows (:data:`_ROUNDS`)."""
 
+    candidates: tuple[str, ...]
+    preferences: Mapping[str, np.ndarray]
     policy_probs: np.ndarray
     free_energy: np.ndarray
     expected_free_energy: np.ndarray
@@ -290,9 +291,9 @@ class InferenceOutcome:
     per_policy_beliefs: dict[str, Sequence[list[np.ndarray]]]
     chosen_action: str = IDLE
 
-    @cached_property
+    @property
     def averaged_beliefs(self) -> dict[str, list[np.ndarray]]:
-        """State id -> [tau] policy-averaged beliefs, computed on first use."""
+        """State id -> [tau] policy-averaged beliefs, computed on each read."""
         return {
             sid: [bayesian_model_average(self.policy_probs, [b[t] for b in rows])
                   for t in range(len(rows[0]))]
@@ -367,19 +368,19 @@ class _StateModel:
 
 # The process-wide memo of rounds, shared by every model, episode and
 # scenario.  F and G are sums over independent state factors, so it keeps
-# each state's part of a round and the terms that part is made of.  Every
+# each state's part of a round and the sweeps that part is made of.  Every
 # key is content: a matrix id from _MATRICES, a vector's bytes, or an int.
-# Three kinds of key, told apart by their length:
+# Two kinds of key, told apart by their length:
 #   term, 3 slots: (B id, bytes of D, observed value index or None)
 #       -> (posterior beliefs [s_1, s_2], read-only; F)
-#   G, 2 slots: (term key, bytes of C) -> G
 #   row, 4 slots: (bytes of D, observed value index or None, the
 #       candidates' transition ids on the state, bytes of C)
 #       -> (F per candidate, G per candidate, beliefs per candidate,
 #           whether C is already satisfied, serial)
 # D is the prior belief and C the preferences.  A B id fixes the state's
-# size m, and with it I.  Values are sweep outputs and floats, never a
-# caller's array.  The memo takes no lock, since rounds run on one thread.
+# size m, and with it I.  G has no key: a row miss evaluates it, and warm
+# rounds almost never miss a row.  Values are sweep outputs and floats,
+# never a caller's array.  The memo takes no lock: rounds run on one thread.
 _MEMO: dict[tuple, object] = table()
 # A row's serial comes from a counter and is never reused, so it names the
 # row's content for the life of the process, like a matrix id.
@@ -398,10 +399,11 @@ _ROUNDS: dict[tuple, bytes] = table()
 def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
          c: np.ndarray, row_key: tuple) -> tuple:
     """One state's part of a round over ``actions`` under preferences ``c``,
-    built from the memo's terms and G values and remembered under
-    ``row_key`` (see :data:`_MEMO`), which holds the observed value index.
-    The state is read as that index, else as the logical state of ``prior``."""
-    d_key, index, _, c_key = row_key
+    built from the memo's terms, with each G evaluated from its term's
+    beliefs, and remembered under ``row_key`` (see :data:`_MEMO`), which
+    holds the observed value index.  The state is read as that index, else
+    as the logical state of ``prior``."""
+    d_key, index = row_key[:2]
     obs = [index, None]
     f_row, g_row, per_policy = [], [], []
     for action in actions:
@@ -416,12 +418,9 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
                 belief.flags.writeable = False
             term = remember(_MEMO, key, (beliefs, variational_free_energy(
                 beliefs, [b], prior, obs)))
-        g = _MEMO.get((key, c_key))
-        if g is None:
-            g = remember(_MEMO, (key, c_key), expected_free_energy(term[0], c))
         per_policy.append(term[0])
         f_row.append(term[1])
-        g_row.append(g)
+        g_row.append(expected_free_energy(term[0], c))
     if index is None:
         index = logical_state({None: prior})[None]
     satisfied = preferences_satisfied(index, c)
@@ -546,6 +545,8 @@ def run_active_inference(
     vector = np.frombuffer(packed)   # read-only: it views the bytes
     chosen = int(vector[3 * n])
     return InferenceOutcome(
+        candidates=candidates,
+        preferences=preferences,
         policy_probs=vector[2 * n:3 * n],
         free_energy=vector[:n],
         expected_free_energy=vector[n:2 * n],

@@ -8,7 +8,7 @@ high-priority preferences and re-run until an executable action is found
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,22 +18,13 @@ from .inference import IDLE, InferenceOutcome, run_active_inference
 
 
 @dataclass
-class InferenceCall:
-    """Inputs and outputs of one inference round, for the trace."""
-
-    preferences: dict[str, np.ndarray]
-    candidates: list[str]
-    outcome: InferenceOutcome
-
-
-@dataclass
 class SelectorVerdict:
     status: TickStatus
     action: Optional[ActionTemplate] = None
     pushed: list[Predicate] = field(default_factory=list)
     removed_pushed: list[Predicate] = field(default_factory=list)
     chain: list[str] = field(default_factory=list)   # selection order this tick
-    calls: list[InferenceCall] = field(default_factory=list)
+    calls: list[InferenceOutcome] = field(default_factory=list)
 
 
 def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
@@ -55,14 +46,14 @@ def adaptive_select(
     observations: Mapping[str, Optional[int]],
     logical: Mapping[str, int],
     domain: Domain,
-    execute: Optional[Callable[[ActionTemplate], None]] = None,
 ) -> SelectorVerdict:
     """One adaptive-selection round for the currently set preferences.
 
     ``beliefs`` and ``logical`` must already reflect this tick's
     ``observations`` (value indices, None where unobserved); the candidates,
-    the preferences' states and the planner's model come from ``domain``;
-    ``execute`` is invoked with the action to start or continue.
+    the preferences' states and the planner's model come from ``domain``.
+    Each inference round's outcome goes to ``calls``.  A Running verdict
+    names the action to start or continue; the caller drives it.
     """
     verdict = SelectorVerdict(status=TickStatus.RUNNING)
 
@@ -72,20 +63,14 @@ def adaptive_select(
             priors.remove_pushed(pred.state_id)
             verdict.removed_pushed.append(pred)
 
-    # the logical state is fixed for the call, and with it the viable set
+    # the logical state is fixed for the call, and with it the viable set;
+    # a chosen action whose preconditions are unmet leaves it
     viable = [a.name for a in domain.actions if _viable(a, logical)]
-    excluded: set[str] = set()
 
     while True:
-        candidates = [name for name in viable if name not in excluded]
-        preferences = priors.assemble_all(domain.registry)
-        outcome = run_active_inference(domain.model, candidates, observations, beliefs,
-                                       preferences)
-        verdict.calls.append(InferenceCall(
-            preferences=preferences,
-            candidates=candidates,
-            outcome=outcome,
-        ))
+        outcome = run_active_inference(domain.model, viable, observations, beliefs,
+                                       priors.assemble_all(domain.registry))
+        verdict.calls.append(outcome)
         chosen = domain.actions_by_name[outcome.chosen_action]
 
         if chosen.name == IDLE:
@@ -98,16 +83,13 @@ def adaptive_select(
         verdict.chain.append(chosen.name)
         unmet = [p for p in chosen.preconditions if not holds(p, logical)]
         if not unmet:
-            verdict.status = TickStatus.RUNNING
             verdict.action = chosen
-            if execute is not None:
-                execute(chosen)
             return verdict
 
         for pred in unmet:
             priors.push(pred)
             verdict.pushed.append(pred)
-        excluded.add(chosen.name)
+        viable.remove(chosen.name)
 
 
 def prepares(later: ActionTemplate, earlier: ActionTemplate) -> bool:

@@ -48,9 +48,11 @@ class TestRun:
 
     def test_bad_budget(self, capsys):
         assert main(["run", S1, "--budget", "0"]) == 3
+        assert capsys.readouterr().err == "error: budget must be >= 1 (got 0)\n"
 
     def test_negative_seed(self, capsys):
         assert main(["run", S1, "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "error: seed must be >= 0 (got -1)\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     def test_trace_to_a_pipe_is_a_stream(self, tmp_path):

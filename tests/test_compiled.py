@@ -156,6 +156,25 @@ def test_rows_follow_candidate_order_and_pushes(seed, rounds):
                                       candidates, observations)
 
 
+def test_memo_holds_only_terms_and_rows():
+    inference.clear_tables()
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        factors, actions, observations = random_model(rng)
+        model, d, c = CompiledModel.from_factors(factors)
+        for _ in range(4):
+            k = int(rng.integers(1, len(actions) + 1))
+            candidates = [str(u) for u in rng.permutation(actions)[:k]]
+            # a push: one state's C gets the pushed value at one index
+            sid = list(factors)[int(rng.integers(len(factors)))]
+            pushed = np.array(c[sid], dtype=float)
+            pushed[int(rng.integers(pushed.size))] = 2.0
+            c = {**c, sid: pushed}
+            run_active_inference(model, candidates, observed_indices(observations), d, c)
+    # a term has 3 slots and a row 4; G is evaluated into its row
+    assert {len(key) for key in inference._MEMO} == {3, 4}
+
+
 def _rows() -> list[tuple]:
     """The row keys of the memo: the only keys with four slots."""
     return [key for key in inference._MEMO if len(key) == 4]

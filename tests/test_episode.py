@@ -114,6 +114,10 @@ class TestTimeout:
         with pytest.raises(ValueError, match="budget"):
             run("scenario_1.yaml", budget=budget)
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+            run("scenario_1.yaml", seed=-1)
+
     def test_instant_goal_single_record(self):
         # start in the goal configuration: one tick, one record
         sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))
@@ -325,6 +329,29 @@ class TestHiddenState:
         if hidden in self.GOAL_VALUES:
             request.applymarker(pytest.mark.xfail(strict=True))
         assert self.false_goals(monkeypatch, hidden, revealed_at) == []
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_state_maps_list_the_registry_in_order(self, name):
+        # the trace bytes depend on this order
+        sc = parse_scenario(shipped_scenario_path(name))
+        ids = [s.id for s in sc.domain.registry]
+        for seed in (0, 3):
+            for record in run_noisy(name, seed).records:
+                for field in ("observations", "beliefs", "logical"):
+                    assert list(record[field]) == ids
+
+    def test_every_running_verdict_drives_its_action(self):
+        checked = 0
+        for seed in range(4):
+            for record in run_noisy("scenario_1.yaml", seed).records:
+                for verdict in record["selector"]:
+                    if verdict["status"] == "Running":
+                        assert (verdict["action"] in record["started"]
+                                or verdict["action"] == record["running"])
+                        checked += 1
+        assert checked > 10
 
 
 class TestTrace:

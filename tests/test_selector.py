@@ -66,13 +66,10 @@ class TestAdaptiveSelect:
             "isAt": 0, "isHolding": 1, "isReachable": 1})
         priors = PriorSet()
         priors.set_nominal("n", [("isHolding", 0)])
-        executed = []
         verdict = adaptive_select(priors, beliefs, obs, logical,
-                                  compile_domain(registry, actions),
-                                  execute=executed.append)
+                                  compile_domain(registry, actions))
         assert verdict.status == TickStatus.RUNNING
         assert verdict.action.name == "moveTo(shelf)"
-        assert executed[0].name == "moveTo(shelf)"
         assert verdict.chain == ["Pick", "moveTo(shelf)"]
         assert Predicate("isReachable", 0) in verdict.pushed
         assert priors.assemble("isReachable", 2) == pytest.approx([2.0, 0.0])
@@ -139,6 +136,27 @@ class TestAdaptiveSelect:
         assert len(verdict.calls) == 2  # Pick blocked, then moveTo(shelf)
         assert "Pick" in verdict.calls[0].candidates
         assert "Pick" not in verdict.calls[1].candidates
+
+    def test_each_call_carries_its_own_inputs(self):
+        registry, actions = fetch_domain()
+        beliefs, obs, logical = setting(registry, {
+            "isAt": 0, "isHolding": 1, "isReachable": 1})
+        priors = PriorSet()
+        priors.set_nominal("n", [("isHolding", 0)])
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
+        first, second = verdict.calls
+        assert isinstance(first.candidates, tuple)
+        # the chosen name leaves the list the next round is scored over
+        assert second.candidates == tuple(a for a in first.candidates if a != "Pick")
+        assert first.chosen_action == "Pick"
+        # the push reached the second round's preferences, not the first's
+        assert first.preferences["isReachable"] == pytest.approx([0.0, 0.0])
+        assert second.preferences["isReachable"] == pytest.approx([2.0, 0.0])
+        for out in verdict.calls:
+            assert out.preferences["isHolding"] == pytest.approx([1.0, 0.0])
+            assert set(out.preferences) == {s.id for s in registry}
+            assert not hasattr(out, "__dict__")
 
 
 def test_a_tied_belief_is_read_four_ways():
