@@ -298,16 +298,22 @@ class PriorSet:
     Nominal entries are keyed by the behavior-tree node that wrote them and
     are rewritten every tick; pushed entries persist until their predicate
     holds.  When both address the same state the pushed value wins on the
-    index it sets.  :meth:`assemble_all` memoizes its vectors by content
-    for the life of the store, which is one episode.
+    index it sets.
+
+    The store lives one episode and memoizes each assembly by content for
+    that life: the first call that sees a set of nominal and pushed entries
+    builds every state's read-only vector and, once, their list form
+    (state id -> ``c.tolist()``), which the episode's records share (see
+    :meth:`listed`).  Two stores never share an assembly.
     """
 
     def __init__(self):
         self._nominal: dict[object, tuple[tuple[str, int], ...]] = {}
         self._pushed: dict[str, int] = {}
-        # (registry, nominal targets, pushed entries) -> read-only vectors
-        self._assembled: dict[tuple, dict[str, np.ndarray]] = {}
-        # (registry, vectors) of the last assembly; None after a change
+        # (registry, nominal targets, pushed entries) -> (vectors, list form)
+        self._assembled: dict[tuple, tuple[Mapping[str, np.ndarray],
+                                           dict[str, list[float]]]] = {}
+        # (registry, vectors, list form) of the last assembly; None after a change
         self._current: Optional[tuple] = None
 
     def set_nominal(self, key, targets: Iterable[tuple[str, int]]):
@@ -341,17 +347,33 @@ class PriorSet:
             c[self._pushed[state_id]] = PUSHED_PREFERENCE
         return c
 
-    def assemble_all(self, registry: StateRegistry) -> dict[str, np.ndarray]:
-        """Every state's vector, as read-only arrays shared by all calls that
-        see the same nominal and pushed entries."""
+    def assemble_all(self, registry: StateRegistry) -> Mapping[str, np.ndarray]:
+        """Every state's vector, in registry order: one read-only mapping of
+        read-only arrays, the same object for every call that sees the same
+        nominal and pushed entries."""
         current = self._current
         if current is None or current[0] is not registry:
             key = (registry, tuple(self._nominal.values()), tuple(self._pushed.items()))
             assembled = self._assembled.get(key)
             if assembled is None:
-                assembled = self._assembled[key] = {}
+                vectors = {}
                 for s in registry:
-                    c = assembled[s.id] = self.assemble(s.id, s.m)
+                    c = vectors[s.id] = self.assemble(s.id, s.m)
                     c.flags.writeable = False
-            current = self._current = (registry, assembled)
-        return dict(current[1])
+                assembled = self._assembled[key] = (
+                    MappingProxyType(vectors), {sid: c.tolist() for sid, c in vectors.items()})
+            current = self._current = (registry, *assembled)
+        return current[1]
+
+    def listed(self, assembly: Mapping[str, np.ndarray]) -> dict[str, list[float]]:
+        """The list form of ``assembly``, a mapping :meth:`assemble_all` of
+        this store returned: one dict, built once, that every caller shares
+        and none may change."""
+        current = self._current
+        if current is not None and current[1] is assembly:
+            return current[2]
+        # an episode sees a handful of assemblies; the latest are likeliest
+        for vectors, lists in reversed(self._assembled.values()):
+            if vectors is assembly:
+                return lists
+        raise ValueError("not an assembly of this store")

@@ -126,10 +126,10 @@ class EpisodeResult:
         return {GOAL: 0, FAILURE: 1, TIMEOUT: 2}[self.outcome]
 
 
-def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
+def _serialize_verdict(node_id: int, verdict: SelectorVerdict, priors: PriorSet) -> dict:
     calls = [{
         "candidates": list(out.candidates),
-        "preferences": {sid: c.tolist() for sid, c in out.preferences.items()},
+        "preferences": priors.listed(out.preferences),
         "F": out.free_energy.tolist(),
         "G": out.expected_free_energy.tolist(),
         "policy_probs": out.policy_probs.tolist(),
@@ -149,14 +149,14 @@ def _serialize_verdict(node_id: int, verdict: SelectorVerdict) -> dict:
 def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus) -> dict:
     # field order is fixed on purpose: traces must be byte-reproducible; the
     # tick's state maps list the registry in order and no one changes them
+    priors = ctx.priors
     return {
         "tick": tick,
         "observations": ctx.observations,
         "beliefs": {sid: b.tolist() for sid, b in ctx.beliefs.items()},
         "logical": ctx.logical,
-        "preferences": {sid: c.tolist() for sid, c in
-                        ctx.priors.assemble_all(ctx.domain.registry).items()},
-        "selector": [_serialize_verdict(nid, v) for nid, v in ctx.verdicts],
+        "preferences": priors.listed(priors.assemble_all(ctx.domain.registry)),
+        "selector": [_serialize_verdict(nid, v, priors) for nid, v in ctx.verdicts],
         "started": list(ctx.started),
         "running": ctx.world.running.template.name if ctx.world.running else None,
         "visited": list(ctx.visited),
@@ -256,6 +256,14 @@ def run_episode(
 # than its vectors.  A map of preferences is keyed whole, since there are
 # few of them.  Like the planner's tables, the memo is a process-wide table
 # (see inference.table), as fragments recur across episodes.
+#
+# Shared maps.  The records of one episode share each preference map: a
+# record and each of its calls hold the one list form PriorSet.listed built
+# for that assembly.  write_trace therefore keeps a second cache, ``seen``,
+# from a map's id() to its text, made for one call and dropped with it.
+# The records hold every map for the whole call, so no id is reused while
+# the cache lives; nothing keyed by id() outlives the call.  A map that
+# misses ``seen``, and any record encoded on its own, goes through _TEXT.
 _TEXT: dict = table()
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _FLOATS, _BELIEF, _PREFERENCES, _INDICES, _LIST, _PAIRS = range(6)
@@ -303,32 +311,43 @@ def _pairs(pairs: list) -> str:
     return _TEXT.get(key) or remember(_TEXT, key, _encode(pairs))
 
 
-def _call(call: dict) -> str:
+def _shared_preferences(preferences: dict, seen: dict) -> str:
+    text = seen.get(id(preferences))
+    if text is None:
+        text = seen[id(preferences)] = _preferences(preferences)
+    return text
+
+
+def _call(call: dict, seen: dict) -> str:
     return ('{"candidates":%s,"preferences":%s,"F":%s,"G":%s,"policy_probs":%s,'
             '"chosen":%s}' % (
-                _list(call["candidates"]), _preferences(call["preferences"]),
+                _list(call["candidates"]), _shared_preferences(call["preferences"], seen),
                 _floats(call["F"]), _floats(call["G"]),
                 _floats(call["policy_probs"]), _name(call["chosen"])))
 
 
-def _verdict(verdict: dict) -> str:
+def _verdict(verdict: dict, seen: dict) -> str:
     return ('{"node":%d,"status":%s,"action":%s,"pushed":%s,"removed_pushed":%s,'
             '"chain":%s,"calls":[%s]}' % (
                 verdict["node"], _name(verdict["status"]), _name(verdict["action"]),
                 _pairs(verdict["pushed"]), _pairs(verdict["removed_pushed"]),
-                _list(verdict["chain"]), ",".join([_call(c) for c in verdict["calls"]])))
+                _list(verdict["chain"]), ",".join([_call(c, seen) for c in verdict["calls"]])))
 
 
-def _encode_record(record: dict) -> str:
+def _encode_record(record: dict, seen: Optional[dict] = None) -> str:
     """One trace line: ``json.dumps(record, separators=(",", ":"))`` for a
-    record built by :func:`_make_record`."""
+    record built by :func:`_make_record`.  ``seen`` is the caller's cache of
+    shared preference maps' texts by id(); the caller must keep every map
+    it holds alive while it uses the cache."""
+    if seen is None:
+        seen = {}
     return ('{"tick":%d,"observations":%s,"beliefs":%s,"logical":%s,'
             '"preferences":%s,"selector":[%s],"started":%s,"running":%s,'
             '"visited":%s,"root_status":%s}' % (
                 record["tick"], _indices(record["observations"]),
                 _beliefs(record["beliefs"]), _indices(record["logical"]),
-                _preferences(record["preferences"]),
-                ",".join([_verdict(v) for v in record["selector"]]),
+                _shared_preferences(record["preferences"], seen),
+                ",".join([_verdict(v, seen) for v in record["selector"]]),
                 _list(record["started"]), _name(record["running"]),
                 _list(record["visited"]), _name(record["root_status"])))
 
@@ -343,7 +362,8 @@ def write_trace(result: EpisodeResult, path):
     keeps its inode, mode and links; a pipe, terminal or device is written
     as a stream.  The write is not atomic and calls no fsync.
     """
-    data = "".join([_encode_record(r) + "\n" for r in result.records]).encode("ascii")
+    seen: dict[int, str] = {}   # lives for this call only (see "Shared maps")
+    data = "".join([_encode_record(r, seen) + "\n" for r in result.records]).encode("ascii")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         view = memoryview(data)

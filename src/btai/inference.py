@@ -279,7 +279,11 @@ class InferenceOutcome:
     """One action-selection round: the ``candidates`` and ``preferences``
     (state id -> C) it was scored under, and what it produced.  Policy ``p``
     is candidate ``p``'s one-step policy.  The three vectors are read-only
-    views of one buffer shared by all rounds with its rows (:data:`_ROUNDS`)."""
+    views of one buffer shared by all rounds with its rows (:data:`_ROUNDS`).
+    ``preferences`` is the mapping the caller passed, not a copy: in an
+    episode it is the read-only assembly that
+    :meth:`btai.domain.PriorSet.assemble_all` shares between all rounds under
+    the same preferences."""
 
     candidates: tuple[str, ...]
     preferences: Mapping[str, np.ndarray]

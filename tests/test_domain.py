@@ -275,6 +275,27 @@ class TestAssembleAll:
             assert not c.flags.writeable
         with pytest.raises(ValueError):
             first["g"][1] = 5.0
+        # one mapping per assembly, which no caller can change
+        assert first is second
+        with pytest.raises(TypeError):
+            first["g"] = np.zeros(2)
+        with pytest.raises(TypeError):
+            del first["h"]
+        # and one list form of it, built once
+        lists = priors.listed(first)
+        assert lists is priors.listed(second)
+        assert lists == {"g": [1.0, 0.0], "h": [0.0, 0.0, 0.0]}
+
+    def test_an_earlier_assembly_keeps_its_list_form(self):
+        registry = self.registry()
+        priors = PriorSet()
+        first = priors.assemble_all(registry)
+        priors.push(Predicate("h", 2))
+        second = priors.assemble_all(registry)
+        assert priors.listed(first) == {"g": [0.0, 0.0], "h": [0.0, 0.0, 0.0]}
+        assert priors.listed(second) == {"g": [0.0, 0.0], "h": [0.0, 0.0, 2.0]}
+        with pytest.raises(ValueError):
+            PriorSet().listed(first)   # another store's assembly
 
     def test_every_change_shows_in_the_next_assembly(self):
         registry = self.registry()

@@ -19,7 +19,7 @@ import btai
 from btai import bt, episode, inference
 from btai import scenario as scenario_mod
 from btai.bt import assign_ids
-from btai.domain import StateRegistry
+from btai.domain import PriorSet, StateRegistry
 from btai.episode import report, run_episode, write_trace
 from btai.inference import IDLE
 from btai.scenario import parse_scenario, shipped_scenario_path
@@ -354,6 +354,47 @@ class TestRecords:
         assert checked > 10
 
 
+def preference_maps(records):
+    """Every preference map of ``records``: each record's, then its calls'."""
+    for record in records:
+        yield record["preferences"]
+        for verdict in record["selector"]:
+            for call in verdict["calls"]:
+                yield call["preferences"]
+
+
+class TestSharedPreferences:
+    """A record and its calls hold the list form that the episode's
+    ``PriorSet.listed`` built once per assembly; episodes never share one."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_one_list_form_per_assembly(self, name, monkeypatch):
+        listed, handed_out = PriorSet.listed, []
+
+        def spy(self, assembly):
+            lists = listed(self, assembly)
+            handed_out.append((assembly, lists))
+            return lists
+
+        monkeypatch.setattr(PriorSet, "listed", spy)
+        for seed in range(3):
+            handed_out.clear()
+            maps = list(preference_maps(run_noisy(name, seed).records))
+            by_assembly = {}
+            for assembly, lists in handed_out:   # keeps every assembly alive
+                assert by_assembly.setdefault(id(assembly), lists) is lists
+                assert lists == {sid: c.tolist() for sid, c in assembly.items()}
+            assert {id(m) for m in maps} == {id(lists) for lists in by_assembly.values()}
+            # records outnumber assemblies: the maps are shared, not copied
+            assert len(by_assembly) < len(maps)
+
+    def test_two_episodes_share_no_map(self):
+        first, second = (run_noisy("scenario_1_conflict.yaml", 3) for _ in range(2))
+        assert dumps(first.records) == dumps(second.records)
+        assert not ({id(m) for m in preference_maps(first.records)}
+                    & {id(m) for m in preference_maps(second.records)})
+
+
 class TestTrace:
     def test_write_and_reload(self, tmp_path):
         result = run("scenario_1.yaml")
@@ -540,6 +581,25 @@ class TestTraceEncoding:
         assert len(remembered) > 5 * cap
 
     @pytest.mark.parametrize("name", SHIPPED)
+    def test_file_equals_json_dumps_and_follows_an_edit(self, name, tmp_path):
+        # write_trace encodes each shared preference map once per call, by
+        # id(); a later call on the same records must see an edit made since
+        path = tmp_path / "trace.jsonl"
+        result = run_noisy(name, 3)
+        expected = b"".join(dumps(r).encode("ascii") + b"\n" for r in result.records)
+        inference.clear_tables()
+        write_trace(result, path)
+        assert path.read_bytes() == expected
+        write_trace(result, path)
+        assert path.read_bytes() == expected
+        preferences = result.records[len(result.records) // 2]["preferences"]
+        next(iter(preferences.values()))[0] += 0.5
+        write_trace(result, path)
+        edited = b"".join(dumps(r).encode("ascii") + b"\n" for r in result.records)
+        assert edited != expected
+        assert path.read_bytes() == edited
+
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_cli_in_a_fresh_process_writes_the_same_bytes(self, name, tmp_path):
         # a fresh interpreter starts with an empty memo; this one has seen
         # every other shipped scenario
@@ -586,9 +646,10 @@ class TestWarmEqualsCold:
             inference.clear_tables()  # each tick starts with its perception step
             return update_beliefs(*args)
 
-        def cold_encode_record(record):
+        def cold_encode_record(record, *seen):
+            # write_trace passes its per-call cache of shared maps' texts
             inference.clear_tables()
-            return encode_record(record)
+            return encode_record(record, *seen)
 
         monkeypatch.setattr(episode, "update_beliefs", cold_update_beliefs)
         monkeypatch.setattr(episode, "_encode_record", cold_encode_record)
