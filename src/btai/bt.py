@@ -169,7 +169,12 @@ def assign_ids(root: BTNode) -> list[BTNode]:
 
 
 def node_count(root: BTNode) -> int:
-    return len(assign_ids(root))
+    """Number of nodes under ``root``, itself included; writes no node id."""
+    count, stack = 0, [root]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
 
 
 _CONTROL_KINDS = {

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .inference import CompiledModel, ModelError, _intern, evidence, softmax
+from .inference import CompiledModel, ModelError, _intern, evidence, remember, softmax, table
 from .inference import logical_state as logical_state   # re-exported for the tick
 
 NOMINAL_PREFERENCE = 1.0
@@ -292,6 +292,10 @@ def holds(pred: Predicate, logical: Mapping[str, int]) -> bool:
     return logical[pred.state_id] == pred.required_index
 
 
+# (registry, nominal targets, pushed entries) -> an assembly (see PriorSet)
+_ASSEMBLIES: dict = table()
+
+
 class PriorSet:
     """Run-time preference store.
 
@@ -300,11 +304,11 @@ class PriorSet:
     holds.  When both address the same state the pushed value wins on the
     index it sets.
 
-    The store lives one episode and memoizes each assembly by content for
-    that life: the first call that sees a set of nominal and pushed entries
-    builds every state's read-only vector and, once, their list form
-    (state id -> ``c.tolist()``), which the episode's records share (see
-    :meth:`listed`).  Two stores never share an assembly.
+    An assembly, every state's read-only vector for a set of nominal and
+    pushed entries, is kept by content in the process-wide ``_ASSEMBLIES``.
+    The store lives one episode and builds, once per assembly it sees, the
+    list form (state id -> ``c.tolist()``) that the episode's records share
+    (see :meth:`listed`).  Stores share vectors, never a list form.
     """
 
     def __init__(self):
@@ -336,6 +340,15 @@ class PriorSet:
         self._pushed.pop(state_id, None)
         self._current = None
 
+    def remove_held(self, logical: Mapping[str, int]) -> list[Predicate]:
+        """Remove the pushed entries that hold in ``logical`` (see
+        :func:`holds`) and return them, in the order they were pushed."""
+        held = [Predicate(sid, idx) for sid, idx in self._pushed.items()
+                if logical[sid] == idx]
+        for pred in held:
+            self.remove_pushed(pred.state_id)
+        return held
+
     def assemble(self, state_id: str, m: int) -> np.ndarray:
         """Log-preference vector for one state: nominal 1s, pushed 2s, else 0."""
         c = np.zeros(m)
@@ -349,19 +362,22 @@ class PriorSet:
 
     def assemble_all(self, registry: StateRegistry) -> Mapping[str, np.ndarray]:
         """Every state's vector, in registry order: one read-only mapping of
-        read-only arrays, the same object for every call that sees the same
-        nominal and pushed entries."""
+        read-only arrays, the same object for every call, in any store, that
+        sees the same nominal and pushed entries on ``registry``."""
         current = self._current
         if current is None or current[0] is not registry:
             key = (registry, tuple(self._nominal.values()), tuple(self._pushed.items()))
             assembled = self._assembled.get(key)
             if assembled is None:
-                vectors = {}
-                for s in registry:
-                    c = vectors[s.id] = self.assemble(s.id, s.m)
-                    c.flags.writeable = False
+                vectors = _ASSEMBLIES.get(key)
+                if vectors is None:
+                    built = {}
+                    for s in registry:
+                        c = built[s.id] = self.assemble(s.id, s.m)
+                        c.flags.writeable = False
+                    vectors = remember(_ASSEMBLIES, key, MappingProxyType(built))
                 assembled = self._assembled[key] = (
-                    MappingProxyType(vectors), {sid: c.tolist() for sid, c in vectors.items()})
+                    vectors, {sid: c.tolist() for sid, c in vectors.items()})
             current = self._current = (registry, *assembled)
         return current[1]
 

@@ -14,10 +14,10 @@ import numpy as np
 
 from .bt import TickStatus
 from .domain import ActionTemplate, Domain, Predicate, PriorSet, holds
-from .inference import IDLE, InferenceOutcome, run_active_inference
+from .inference import IDLE, InferenceOutcome, remember, run_active_inference, table
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectorVerdict:
     status: TickStatus
     action: Optional[ActionTemplate] = None
@@ -40,6 +40,11 @@ def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
     return False
 
 
+# (a domain's actions, the logical state's items) -> the viable names, in domain
+# order; templates hash by identity, where a Domain would hash its StateVars
+_VIABLE: dict = table()
+
+
 def adaptive_select(
     priors: PriorSet,
     beliefs: Mapping[str, np.ndarray],
@@ -55,17 +60,14 @@ def adaptive_select(
     Each inference round's outcome goes to ``calls``.  A Running verdict
     names the action to start or continue; the caller drives it.
     """
-    verdict = SelectorVerdict(status=TickStatus.RUNNING)
-
-    # drop pushed preferences that now hold
-    for pred in priors.pushed_predicates():
-        if holds(pred, logical):
-            priors.remove_pushed(pred.state_id)
-            verdict.removed_pushed.append(pred)
+    # pushed preferences that now hold are dropped
+    verdict = SelectorVerdict(TickStatus.RUNNING, removed_pushed=priors.remove_held(logical))
 
     # the logical state is fixed for the call, and with it the viable set;
-    # a chosen action whose preconditions are unmet leaves it
-    viable = [a.name for a in domain.actions if _viable(a, logical)]
+    # a chosen action whose preconditions are unmet leaves this call's copy
+    key = (domain.actions, *logical.items())
+    viable = list(_VIABLE.get(key) or remember(_VIABLE, key, tuple(
+        [a.name for a in domain.actions if _viable(a, logical)])))
 
     while True:
         outcome = run_active_inference(domain.model, viable, observations, beliefs,

@@ -3,6 +3,7 @@ fresh evaluation bit for bit, and sharing the memo between models, episodes
 and scenarios changes no byte.  Perception reads the same model and must
 equal its formula bit for bit."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -14,12 +15,16 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import btai
+from btai import domain as domain_mod
 from btai import inference
+from btai import selector as selector_mod
 from modelgen import observed_indices, random_model, random_stochastic, run_on_factors
 from btai.domain import (
     ActionTemplate,
+    PriorSet,
     StateRegistry,
     StateVar,
+    achieve_matrix,
     compile_domain,
     update_beliefs,
 )
@@ -38,6 +43,7 @@ from btai.inference import (
     variational_free_energy,
 )
 from btai.scenario import parse_scenario, scenario_from_dict, shipped_scenario_path
+from btai.selector import adaptive_select
 
 
 def uncached_round(transitions, beliefs, preferences, actions, observations):
@@ -375,6 +381,33 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
             assert len(inference._ROUNDS) <= cap
     assert len(remembered) > 5 * cap
     assert len(rounds) > 5 * cap
+
+    # the assembly and viable tables: every call below brings a registry
+    # and actions of its own, so each misses both tables
+    stored = collections.Counter()
+    for owner in (domain_mod, selector_mod):
+        def counted(table, key, value, owner=owner, remember=owner.remember):
+            stored[owner.__name__] += 1
+            return remember(table, key, value)
+        monkeypatch.setattr(owner, "remember", counted)
+    for i in range(6 * cap):
+        m = 2 + i % 3
+        registry = StateRegistry([StateVar("s", m, tuple("abcd"[:m]))])
+        go = ActionTemplate("go", postconditions=(("s", m - 1),),
+                            transitions={"s": achieve_matrix(m, m - 1)})
+        domain = compile_domain(registry, [ActionTemplate(inference.IDLE), go])
+        priors = PriorSet()
+        priors.set_nominal("n", [("s", m - 1)])
+        for value in (0, m - 1):   # go is viable, then its postcondition holds
+            verdict = adaptive_select(priors, {"s": np.eye(m)[value]}, {"s": value},
+                                      {"s": value}, domain)
+            assert verdict.calls[0].candidates == (("Idle", "go") if value == 0
+                                                   else ("Idle",))
+            assert priors.listed(verdict.calls[0].preferences) == {
+                "s": [0.0] * (m - 1) + [1.0]}
+        assert len(domain_mod._ASSEMBLIES) <= cap
+        assert len(selector_mod._VIABLE) <= cap
+    assert stored == {"btai.domain": 6 * cap, "btai.selector": 12 * cap}
 
 
 def _scenario_docs():

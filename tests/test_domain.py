@@ -322,6 +322,59 @@ class TestAssembleAll:
         assert all(previous[sid] is first[sid] for sid in first)
 
 
+class TestAssemblyTable:
+    """An assembly is a process-wide value: stores with equal entries on one
+    registry share its read-only mapping, each with a list form of its own."""
+
+    @staticmethod
+    def entries(priors, nominal=(("g", 0),), pushed=(("h", 2),)):
+        priors.set_nominal("n", nominal)
+        for sid, idx in pushed:
+            priors.push(Predicate(sid, idx))
+        return priors
+
+    def test_equal_entries_share_the_mapping_not_the_list_form(self):
+        registry = TestAssembleAll.registry()
+        a, b = self.entries(PriorSet()), self.entries(PriorSet())
+        first, second = a.assemble_all(registry), b.assemble_all(registry)
+        assert first is second
+        assert all(not c.flags.writeable for c in first.values())
+        with pytest.raises(TypeError):
+            first["g"] = np.zeros(2)
+        assert a.listed(first) == b.listed(second) == {"g": [1.0, 0.0], "h": [0.0, 0.0, 2.0]}
+        assert a.listed(first) is not b.listed(second)
+        # a fresh store has built no list form of the shared mapping
+        with pytest.raises(ValueError):
+            PriorSet().listed(first)
+
+    def test_every_vector_equals_assemble(self):
+        registry = TestAssembleAll.registry()
+        cases = [((), ()), ((("g", 1),), ()), ((), (("h", 0),)),
+                 ((("g", 0), ("h", 1)), (("h", 1),)), ((("h", 2),), (("g", 1), ("h", 0)))]
+        for _ in range(2):   # cold, then from the table
+            for nominal, pushed in cases:
+                priors = self.entries(PriorSet(), nominal, pushed)
+                out = priors.assemble_all(registry)
+                assert list(out) == ["g", "h"]
+                for s in registry:
+                    assert np.array_equal(out[s.id], priors.assemble(s.id, s.m))
+
+    def test_registries_with_other_sizes_share_no_entry(self):
+        two = StateRegistry([StateVar("g", 2, ("a", "b")), StateVar("h", 3, ("a", "b", "c"))])
+        four = StateRegistry([StateVar("g", 4, ("a", "b", "c", "d")),
+                              StateVar("h", 3, ("a", "b", "c"))])
+        priors = self.entries(PriorSet())
+        small = priors.assemble_all(two)
+        large = self.entries(PriorSet()).assemble_all(four)
+        assert small is not large
+        assert [len(small[sid]) for sid in small] == [2, 3]
+        assert [len(large[sid]) for sid in large] == [4, 3]
+        assert large["g"].tolist() == [1.0, 0.0, 0.0, 0.0]
+        # and again from the table, in the other order
+        assert self.entries(PriorSet()).assemble_all(four) is large
+        assert self.entries(PriorSet()).assemble_all(two) is small
+
+
 def test_strict_float():
     assert strict_float(1, "x") == 1.0 and isinstance(strict_float(1, "x"), float)
     assert strict_float(0.25, "x") == 0.25

@@ -50,6 +50,11 @@ def dumps(record):
     return json.dumps(record, separators=(",", ":"))
 
 
+def size(node):
+    """Number of nodes under ``node``, itself included."""
+    return 1 + sum(size(child) for child in node.children)
+
+
 class TestNominal:
     def test_goal_with_planned_sequence(self):
         result = run("scenario_1.yaml")
@@ -207,6 +212,23 @@ class TestSharedScenario:
             assert sc.build_tree() is sc.build_tree()
             assert sc.registry() is sc.registry()
             assert sc.actions_by_name() is sc.actions_by_name()
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_node_count_of_a_subtree_keeps_the_ids(self, name, tmp_path):
+        sc = parse_scenario(shipped_scenario_path(name))
+        nodes, stack = [], [sc.build_tree()]
+        while stack:   # pre-order, as the parse numbered them
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(reversed(node.children))
+        assert [n.node_id for n in nodes] == list(range(len(nodes)))
+        before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+        run_episode(sc, seed=3, trace_path=before)
+        for node in nodes:
+            assert bt.node_count(node) == size(node)
+        assert [n.node_id for n in nodes] == list(range(len(nodes)))
+        run_episode(sc, seed=3, trace_path=after)
+        assert after.read_bytes() == before.read_bytes()
 
     def test_replace_shares_the_domain_and_builds_only_the_tree(self, monkeypatch):
         sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from btai.bt import TickStatus
+from btai import inference
+from btai import selector as selector_mod
+from btai.bt import TickStatus, assign_ids
 from btai.domain import (
     ActionTemplate,
     Predicate,
@@ -15,6 +19,7 @@ from btai.domain import (
     update_beliefs,
 )
 from btai.inference import IDLE, run_active_inference
+from btai.scenario import parse_scenario, shipped_scenario_path
 from btai.selector import (
     _viable,
     adaptive_select,
@@ -157,6 +162,65 @@ class TestAdaptiveSelect:
             assert out.preferences["isHolding"] == pytest.approx([1.0, 0.0])
             assert set(out.preferences) == {s.id for s in registry}
             assert not hasattr(out, "__dict__")
+
+
+PRIOR_SCENARIOS = ["scenario_1.yaml", "scenario_1_conflict.yaml",
+                   "scenario_1_prior_nav.yaml", "scenario_failure.yaml",
+                   "scenario_safety.yaml"]
+
+
+class TestViableTable:
+    """The viable names come from a process-wide table keyed by the domain's
+    actions and the logical state; a call removes names from its own copy."""
+
+    @pytest.mark.parametrize("name", PRIOR_SCENARIOS)
+    def test_every_logical_state_gets_the_viable_names(self, name):
+        sc = parse_scenario(shipped_scenario_path(name))
+        prior = next(n for n in assign_ids(sc.build_tree()) if n.kind == "prior")
+        ranges = [range(s.m) for s in sc.domain.states]
+        inference.clear_tables()
+        for warm in (False, True):
+            for values in itertools.product(*ranges):
+                beliefs, obs, logical = setting(
+                    sc.domain.registry, dict(zip([s.id for s in sc.domain.states], values)))
+                priors = PriorSet()
+                priors.set_nominal(prior, prior.targets)
+                verdict = adaptive_select(priors, beliefs, obs, logical, sc.domain)
+                expected = [a.name for a in sc.domain.actions if _viable(a, logical)]
+                assert list(verdict.calls[0].candidates) == expected, (warm, values)
+        assert len(selector_mod._VIABLE) == len(list(itertools.product(*ranges)))
+        assert all(type(v) is tuple for v in selector_mod._VIABLE.values())
+
+    def test_a_push_chain_leaves_the_shared_names_whole(self):
+        registry, actions = fetch_domain()
+        domain = compile_domain(registry, actions)
+        beliefs, obs, logical = setting(registry, {
+            "isAt": 0, "isHolding": 1, "isReachable": 1})
+        for _ in range(2):
+            priors = PriorSet()
+            priors.set_nominal("n", [("isHolding", 0)])
+            verdict = adaptive_select(priors, beliefs, obs, logical, domain)
+            # Pick was chosen, blocked and removed from this call's names
+            assert verdict.chain == ["Pick", "moveTo(shelf)"]
+            # moveTo(table) is not viable: its postcondition holds
+            assert verdict.calls[0].candidates == ("Idle", "moveTo(shelf)", "Pick")
+            assert "Pick" not in verdict.calls[1].candidates
+
+    @pytest.mark.parametrize("order", [[("isReachable", 0), ("isAt", 0)],
+                                       [("isAt", 0), ("isReachable", 0)]])
+    def test_removed_pushed_keeps_the_push_order(self, order):
+        registry, actions = fetch_domain()
+        beliefs, obs, logical = setting(registry, {
+            "isAt": 0, "isHolding": 1, "isReachable": 0})
+        priors = PriorSet()
+        priors.set_nominal("n", [("isHolding", 0)])
+        for pred in order:
+            priors.push(Predicate(*pred))
+        priors.push(Predicate(*order[0]))   # a push again keeps its place
+        verdict = adaptive_select(priors, beliefs, obs, logical,
+                                  compile_domain(registry, actions))
+        assert verdict.removed_pushed == [Predicate(*p) for p in order]
+        assert priors.pushed_predicates() == []
 
 
 def test_a_tied_belief_is_read_four_ways():
