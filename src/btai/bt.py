@@ -154,17 +154,22 @@ class Prior(BTNode):
         return ctx.prior_tick(self)
 
 
-def assign_ids(root: BTNode) -> list[BTNode]:
-    """Number nodes in pre-order; returns the node list."""
+def _preorder(root: BTNode) -> list[BTNode]:
+    """The nodes under ``root``, itself first, in pre-order."""
     # a loop, not a nested recursive function: that one refers to itself, and
     # the cycle would keep it and the node list alive until a full collection
-    nodes = []
-    stack = [root]
+    nodes, stack = [], [root]
     while stack:
-        node = stack.pop()
-        node.node_id = len(nodes)
-        nodes.append(node)
-        stack.extend(reversed(node.children))
+        nodes.append(stack.pop())
+        stack.extend(reversed(nodes[-1].children))
+    return nodes
+
+
+def assign_ids(root: BTNode) -> list[BTNode]:
+    """Number nodes in pre-order; returns the node list."""
+    nodes = _preorder(root)
+    for i, node in enumerate(nodes):
+        node.node_id = i
     return nodes
 
 
@@ -249,15 +254,17 @@ _SHAPES = {
 
 
 def export_graph(root: BTNode) -> str:
-    """Deterministic Graphviz DOT listing of the tree (pre-order ids)."""
-    nodes = assign_ids(root)
+    """Deterministic Graphviz DOT listing of the tree under ``root``,
+    numbered in pre-order from ``root``; writes no node id."""
+    nodes = _preorder(root)
+    ids = {node: i for i, node in enumerate(nodes)}
     lines = ["digraph bt {"]
     for node in nodes:
         # backslashes first: Graphviz reads \N, \l and \n in a label as escapes
         label = node.label.replace("\\", "\\\\").replace('"', r"\"")
-        lines.append(f'  n{node.node_id} [shape={_SHAPES[node.kind]} label="{label}"];')
+        lines.append(f'  n{ids[node]} [shape={_SHAPES[node.kind]} label="{label}"];')
     for node in nodes:
         for child in node.children:
-            lines.append(f"  n{node.node_id} -> n{child.node_id};")
+            lines.append(f"  n{ids[node]} -> n{ids[child]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -302,43 +302,24 @@ class PriorSet:
     Nominal entries are keyed by the behavior-tree node that wrote them and
     are rewritten every tick; pushed entries persist until their predicate
     holds.  When both address the same state the pushed value wins on the
-    index it sets.
-
-    An assembly, every state's read-only vector for a set of nominal and
-    pushed entries, is kept by content in the process-wide ``_ASSEMBLIES``.
-    The store lives one episode and builds, once per assembly it sees, the
-    list form (state id -> ``c.tolist()``) that the episode's records share
-    (see :meth:`listed`).  Stores share vectors, never a list form.
+    index it sets.  An assembly, every state's read-only vector for a set of
+    nominal and pushed entries, is kept by content in the process-wide
+    ``_ASSEMBLIES``.
     """
 
     def __init__(self):
         self._nominal: dict[object, tuple[tuple[str, int], ...]] = {}
         self._pushed: dict[str, int] = {}
-        # (registry, nominal targets, pushed entries) -> (vectors, list form)
-        self._assembled: dict[tuple, tuple[Mapping[str, np.ndarray],
-                                           dict[str, list[float]]]] = {}
-        # (registry, vectors, list form) of the last assembly; None after a change
-        self._current: Optional[tuple] = None
 
     def set_nominal(self, key, targets: Iterable[tuple[str, int]]):
         self._nominal[key] = tuple(targets)
-        self._current = None
 
     def clear_nominal(self):
         self._nominal.clear()
-        self._current = None
 
     def push(self, pred: Predicate):
         # at most one pushed entry per state: a newer push replaces the old
         self._pushed[pred.state_id] = pred.required_index
-        self._current = None
-
-    def pushed_predicates(self) -> list[Predicate]:
-        return [Predicate(sid, idx) for sid, idx in self._pushed.items()]
-
-    def remove_pushed(self, state_id: str):
-        self._pushed.pop(state_id, None)
-        self._current = None
 
     def remove_held(self, logical: Mapping[str, int]) -> list[Predicate]:
         """Remove the pushed entries that hold in ``logical`` (see
@@ -346,7 +327,7 @@ class PriorSet:
         held = [Predicate(sid, idx) for sid, idx in self._pushed.items()
                 if logical[sid] == idx]
         for pred in held:
-            self.remove_pushed(pred.state_id)
+            del self._pushed[pred.state_id]
         return held
 
     def assemble(self, state_id: str, m: int) -> np.ndarray:
@@ -364,32 +345,12 @@ class PriorSet:
         """Every state's vector, in registry order: one read-only mapping of
         read-only arrays, the same object for every call, in any store, that
         sees the same nominal and pushed entries on ``registry``."""
-        current = self._current
-        if current is None or current[0] is not registry:
-            key = (registry, tuple(self._nominal.values()), tuple(self._pushed.items()))
-            assembled = self._assembled.get(key)
-            if assembled is None:
-                vectors = _ASSEMBLIES.get(key)
-                if vectors is None:
-                    built = {}
-                    for s in registry:
-                        c = built[s.id] = self.assemble(s.id, s.m)
-                        c.flags.writeable = False
-                    vectors = remember(_ASSEMBLIES, key, MappingProxyType(built))
-                assembled = self._assembled[key] = (
-                    vectors, {sid: c.tolist() for sid, c in vectors.items()})
-            current = self._current = (registry, *assembled)
-        return current[1]
-
-    def listed(self, assembly: Mapping[str, np.ndarray]) -> dict[str, list[float]]:
-        """The list form of ``assembly``, a mapping :meth:`assemble_all` of
-        this store returned: one dict, built once, that every caller shares
-        and none may change."""
-        current = self._current
-        if current is not None and current[1] is assembly:
-            return current[2]
-        # an episode sees a handful of assemblies; the latest are likeliest
-        for vectors, lists in reversed(self._assembled.values()):
-            if vectors is assembly:
-                return lists
-        raise ValueError("not an assembly of this store")
+        key = (registry, tuple(self._nominal.values()), tuple(self._pushed.items()))
+        vectors = _ASSEMBLIES.get(key)
+        if vectors is None:
+            built = {}
+            for s in registry:
+                c = built[s.id] = self.assemble(s.id, s.m)
+                c.flags.writeable = False
+            vectors = remember(_ASSEMBLIES, key, MappingProxyType(built))
+        return vectors

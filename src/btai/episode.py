@@ -15,7 +15,7 @@ import os
 import stat
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -54,11 +54,22 @@ class EpisodeContext:
         self.beliefs: dict[str, np.ndarray] = {}
         self.observations: dict[str, Optional[int]] = {}
         self.logical: dict[str, int] = {}
+        # id(assembly) -> (assembly, its list form); see "Shared maps" below
+        self.lists: dict[int, tuple[Mapping[str, np.ndarray], dict[str, list[float]]]] = {}
         # per-root-tick bookkeeping
         self.visited: list[int] = []
         self.verdicts: list[tuple[int, SelectorVerdict]] = []
         self.started: list[str] = []
         self.claimed = False
+
+    def listed(self, assembly: Mapping[str, np.ndarray]) -> dict[str, list[float]]:
+        """The list form of ``assembly``: one dict per episode, built on
+        first use, that every record shares and none may change."""
+        entry = self.lists.get(id(assembly))
+        if entry is None:
+            entry = self.lists[id(assembly)] = (
+                assembly, {sid: c.tolist() for sid, c in assembly.items()})
+        return entry[1]
 
     def begin_tick(self, observations, beliefs, logical):
         self.observations = observations
@@ -126,10 +137,10 @@ class EpisodeResult:
         return {GOAL: 0, FAILURE: 1, TIMEOUT: 2}[self.outcome]
 
 
-def _serialize_verdict(node_id: int, verdict: SelectorVerdict, priors: PriorSet) -> dict:
+def _serialize_verdict(node_id: int, verdict: SelectorVerdict, ctx: EpisodeContext) -> dict:
     calls = [{
         "candidates": list(out.candidates),
-        "preferences": priors.listed(out.preferences),
+        "preferences": ctx.listed(out.preferences),
         "F": out.free_energy.tolist(),
         "G": out.expected_free_energy.tolist(),
         "policy_probs": out.policy_probs.tolist(),
@@ -149,14 +160,13 @@ def _serialize_verdict(node_id: int, verdict: SelectorVerdict, priors: PriorSet)
 def _make_record(tick: int, ctx: EpisodeContext, status: TickStatus) -> dict:
     # field order is fixed on purpose: traces must be byte-reproducible; the
     # tick's state maps list the registry in order and no one changes them
-    priors = ctx.priors
     return {
         "tick": tick,
         "observations": ctx.observations,
         "beliefs": {sid: b.tolist() for sid, b in ctx.beliefs.items()},
         "logical": ctx.logical,
-        "preferences": priors.listed(priors.assemble_all(ctx.domain.registry)),
-        "selector": [_serialize_verdict(nid, v, priors) for nid, v in ctx.verdicts],
+        "preferences": ctx.listed(ctx.priors.assemble_all(ctx.domain.registry)),
+        "selector": [_serialize_verdict(nid, v, ctx) for nid, v in ctx.verdicts],
         "started": list(ctx.started),
         "running": ctx.world.running.template.name if ctx.world.running else None,
         "visited": list(ctx.visited),
@@ -192,11 +202,12 @@ def run_episode(
 
     for tick in range(budget):
         observations = world.observe()
-        beliefs = update_beliefs(beliefs, observations, world.last_completed, domain.model)
+        last = world.last_result   # the action that finished in the last step
+        beliefs = update_beliefs(beliefs, observations,
+                                 last.template if last else None, domain.model)
         logical = logical_state(beliefs)
-        if (world.last_result is not None
-                and world.last_result.status == "succeeded"):
-            completed.append(world.last_result.template.name)
+        if last is not None and last.status == "succeeded":
+            completed.append(last.template.name)
         priors.clear_nominal()
         ctx.begin_tick(observations, beliefs, logical)
         status = tree.tick(ctx)
@@ -257,13 +268,16 @@ def run_episode(
 # few of them.  Like the planner's tables, the memo is a process-wide table
 # (see inference.table), as fragments recur across episodes.
 #
-# Shared maps.  The records of one episode share each preference map: a
-# record and each of its calls hold the one list form PriorSet.listed built
-# for that assembly.  write_trace therefore keeps a second cache, ``seen``,
-# from a map's id() to its text, made for one call and dropped with it.
-# The records hold every map for the whole call, so no id is reused while
-# the cache lives; nothing keyed by id() outlives the call.  A map that
-# misses ``seen``, and any record encoded on its own, goes through _TEXT.
+# Shared maps.  The list forms of preference maps live with the episode:
+# EpisodeContext.lists maps an assembly's id() to the assembly and its list
+# form, built on first use, so a record and each of its calls hold one dict
+# per assembly and two episodes never share one.  Each entry holds its
+# assembly, so no id is reused while the episode runs, even when the capped
+# table of assemblies in btai.domain drops one in mid-episode.  write_trace
+# keeps a second cache, ``seen``, from a map's id() to its text, made for
+# one call and dropped with it; the records hold every map for the whole
+# call, so no id is reused while it lives.  A map that misses ``seen``, and
+# any record encoded on its own, goes through _TEXT.
 _TEXT: dict = table()
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _FLOATS, _BELIEF, _PREFERENCES, _INDICES, _LIST, _PAIRS = range(6)

@@ -61,7 +61,6 @@ class World:
         self.rng = np.random.default_rng(seed)
         self.tick = 0
         self.running: Optional[RunningAction] = None
-        self.last_completed: Optional[ActionTemplate] = None
         self.last_result: Optional[RunningAction] = None
         self._applied_events = 0
 
@@ -100,7 +99,6 @@ class World:
         """Advance one tick: finish a due action (applying its postconditions
         on success) and fire perturbation events scheduled for the new tick."""
         self.tick += 1
-        self.last_completed = None
         self.last_result = None
         run = self.running
         if run is not None and self.tick - run.started_at >= run.template.duration_ticks:
@@ -110,7 +108,6 @@ class World:
                 run.status = "succeeded"
             else:
                 run.status = "failed"
-            self.last_completed = run.template
             self.last_result = run
             self.running = None
         while (self._applied_events < len(schedule)

@@ -403,7 +403,8 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
                                       {"s": value}, domain)
             assert verdict.calls[0].candidates == (("Idle", "go") if value == 0
                                                    else ("Idle",))
-            assert priors.listed(verdict.calls[0].preferences) == {
+            preferences = verdict.calls[0].preferences
+            assert {sid: c.tolist() for sid, c in preferences.items()} == {
                 "s": [0.0] * (m - 1) + [1.0]}
         assert len(domain_mod._ASSEMBLIES) <= cap
         assert len(selector_mod._VIABLE) <= cap

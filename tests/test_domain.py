@@ -235,14 +235,19 @@ class TestPriorSet:
         priors = PriorSet()
         priors.push(Predicate("g", 0))
         priors.push(Predicate("g", 1))
-        assert priors.pushed_predicates() == [Predicate("g", 1)]
         assert priors.assemble("g", 2) == pytest.approx([0.0, 2.0])
+        # the one pushed entry is g=1: g=0 is gone, g=1 holds and goes
+        assert priors.remove_held({"g": 0}) == []
+        assert priors.remove_held({"g": 1}) == [Predicate("g", 1)]
+        assert priors.remove_held({"g": 1}) == []
 
     def test_remove_pushed(self):
         priors = PriorSet()
         priors.push(Predicate("g", 0))
-        priors.remove_pushed("g")
-        assert priors.pushed_predicates() == []
+        assert priors.remove_held({"g": 0}) == [Predicate("g", 0)]
+        # no pushed entry is left, whatever the logical state
+        assert priors.remove_held({"g": 0}) == []
+        assert priors.remove_held({"g": 1}) == []
         assert priors.assemble("g", 2) == pytest.approx([0.0, 0.0])
 
     def test_assemble_idempotent_and_order_independent(self):
@@ -281,21 +286,8 @@ class TestAssembleAll:
             first["g"] = np.zeros(2)
         with pytest.raises(TypeError):
             del first["h"]
-        # and one list form of it, built once
-        lists = priors.listed(first)
-        assert lists is priors.listed(second)
-        assert lists == {"g": [1.0, 0.0], "h": [0.0, 0.0, 0.0]}
-
-    def test_an_earlier_assembly_keeps_its_list_form(self):
-        registry = self.registry()
-        priors = PriorSet()
-        first = priors.assemble_all(registry)
-        priors.push(Predicate("h", 2))
-        second = priors.assemble_all(registry)
-        assert priors.listed(first) == {"g": [0.0, 0.0], "h": [0.0, 0.0, 0.0]}
-        assert priors.listed(second) == {"g": [0.0, 0.0], "h": [0.0, 0.0, 2.0]}
-        with pytest.raises(ValueError):
-            PriorSet().listed(first)   # another store's assembly
+        assert {sid: c.tolist() for sid, c in first.items()} == {
+            "g": [1.0, 0.0], "h": [0.0, 0.0, 0.0]}
 
     def test_every_change_shows_in_the_next_assembly(self):
         registry = self.registry()
@@ -304,7 +296,7 @@ class TestAssembleAll:
         first = priors.assemble_all(registry)
         changes = [
             lambda: priors.push(Predicate("h", 2)),
-            lambda: priors.remove_pushed("h"),
+            lambda: priors.remove_held({"h": 2}),
             lambda: priors.set_nominal("n2", [("h", 1)]),
             lambda: priors.clear_nominal(),
             lambda: priors.set_nominal("n1", [("g", 0)]),
@@ -324,7 +316,7 @@ class TestAssembleAll:
 
 class TestAssemblyTable:
     """An assembly is a process-wide value: stores with equal entries on one
-    registry share its read-only mapping, each with a list form of its own."""
+    registry share its read-only mapping."""
 
     @staticmethod
     def entries(priors, nominal=(("g", 0),), pushed=(("h", 2),)):
@@ -333,7 +325,7 @@ class TestAssemblyTable:
             priors.push(Predicate(sid, idx))
         return priors
 
-    def test_equal_entries_share_the_mapping_not_the_list_form(self):
+    def test_equal_entries_share_one_mapping(self):
         registry = TestAssembleAll.registry()
         a, b = self.entries(PriorSet()), self.entries(PriorSet())
         first, second = a.assemble_all(registry), b.assemble_all(registry)
@@ -341,11 +333,8 @@ class TestAssemblyTable:
         assert all(not c.flags.writeable for c in first.values())
         with pytest.raises(TypeError):
             first["g"] = np.zeros(2)
-        assert a.listed(first) == b.listed(second) == {"g": [1.0, 0.0], "h": [0.0, 0.0, 2.0]}
-        assert a.listed(first) is not b.listed(second)
-        # a fresh store has built no list form of the shared mapping
-        with pytest.raises(ValueError):
-            PriorSet().listed(first)
+        assert {sid: c.tolist() for sid, c in first.items()} == {
+            "g": [1.0, 0.0], "h": [0.0, 0.0, 2.0]}
 
     def test_every_vector_equals_assemble(self):
         registry = TestAssembleAll.registry()

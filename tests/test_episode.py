@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import btai
 from btai import bt, episode, inference
 from btai import scenario as scenario_mod
 from btai.bt import assign_ids
-from btai.domain import PriorSet, StateRegistry
+from btai.domain import Predicate, PriorSet, StateRegistry
 from btai.episode import report, run_episode, write_trace
 from btai.inference import IDLE
 from btai.scenario import parse_scenario, shipped_scenario_path
@@ -53,6 +54,17 @@ def dumps(record):
 def size(node):
     """Number of nodes under ``node``, itself included."""
     return 1 + sum(size(child) for child in node.children)
+
+
+def preorder(root):
+    """The nodes under ``root`` in pre-order, as the parse numbered them;
+    writes no node id."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.children))
+    return nodes
 
 
 class TestNominal:
@@ -216,17 +228,30 @@ class TestSharedScenario:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_node_count_of_a_subtree_keeps_the_ids(self, name, tmp_path):
         sc = parse_scenario(shipped_scenario_path(name))
-        nodes, stack = [], [sc.build_tree()]
-        while stack:   # pre-order, as the parse numbered them
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(reversed(node.children))
+        nodes = preorder(sc.build_tree())
         assert [n.node_id for n in nodes] == list(range(len(nodes)))
         before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
         run_episode(sc, seed=3, trace_path=before)
         for node in nodes:
             assert bt.node_count(node) == size(node)
         assert [n.node_id for n in nodes] == list(range(len(nodes)))
+        run_episode(sc, seed=3, trace_path=after)
+        assert after.read_bytes() == before.read_bytes()
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_export_graph_of_a_subtree_keeps_the_ids(self, name, tmp_path):
+        sc = parse_scenario(shipped_scenario_path(name))
+        root = sc.build_tree()
+        nodes = preorder(root)
+        whole = bt.export_graph(root)
+        before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+        run_episode(sc, seed=3, trace_path=before)
+        for node in nodes:
+            # a subtree's listing numbers its own nodes from 0, in pre-order
+            ids = re.findall(r"^  n(\d+) \[", bt.export_graph(node), re.MULTILINE)
+            assert ids == [str(i) for i in range(size(node))]
+        assert [n.node_id for n in nodes] == list(range(len(nodes)))
+        assert bt.export_graph(root) == whole
         run_episode(sc, seed=3, trace_path=after)
         assert after.read_bytes() == before.read_bytes()
 
@@ -387,18 +412,19 @@ def preference_maps(records):
 
 class TestSharedPreferences:
     """A record and its calls hold the list form that the episode's
-    ``PriorSet.listed`` built once per assembly; episodes never share one."""
+    ``EpisodeContext.listed`` built once per assembly; episodes never share
+    one."""
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_one_list_form_per_assembly(self, name, monkeypatch):
-        listed, handed_out = PriorSet.listed, []
+        listed, handed_out = episode.EpisodeContext.listed, []
 
         def spy(self, assembly):
             lists = listed(self, assembly)
             handed_out.append((assembly, lists))
             return lists
 
-        monkeypatch.setattr(PriorSet, "listed", spy)
+        monkeypatch.setattr(episode.EpisodeContext, "listed", spy)
         for seed in range(3):
             handed_out.clear()
             maps = list(preference_maps(run_noisy(name, seed).records))
@@ -415,6 +441,77 @@ class TestSharedPreferences:
         assert dumps(first.records) == dumps(second.records)
         assert not ({id(m) for m in preference_maps(first.records)}
                     & {id(m) for m in preference_maps(second.records)})
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_an_edit_of_one_episode_leaves_the_next_alone(self, name, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        first = run_noisy(name, 3)
+        expected = dumps(first.records)
+        write_trace(first, path)
+        expected_bytes = path.read_bytes()
+        # every value of every record and call preference map, each map once
+        for lists in {id(m): m for m in preference_maps(first.records)}.values():
+            for values in lists.values():
+                values[:] = [x + 0.5 for x in values]
+        assert dumps(first.records) != expected
+        second = run_noisy(name, 3)   # warm: every process-wide table is filled
+        assert dumps(second.records) == expected
+        write_trace(second, path)
+        assert path.read_bytes() == expected_bytes
+
+
+def contexts(n):
+    """``n`` fresh episode contexts on one parse of scenario_1, and its
+    registry."""
+    sc = parse_scenario(shipped_scenario_path("scenario_1.yaml"))
+    return ([episode.EpisodeContext(sc.make_world(), sc, PriorSet()) for _ in range(n)],
+            sc.domain.registry)
+
+
+class TestListForms:
+    """``EpisodeContext.listed`` builds an assembly's list form on first use,
+    once per episode, and hands every caller that one dict."""
+
+    def test_one_list_form_per_assembly_built_once(self):
+        (ctx,), registry = contexts(1)
+        ctx.priors.set_nominal("n", [("isAt", 0)])
+        first = ctx.priors.assemble_all(registry)
+        lists = ctx.listed(first)
+        assert lists is ctx.listed(ctx.priors.assemble_all(registry))
+        assert lists == {sid: c.tolist() for sid, c in first.items()}
+        assert lists["isAt"] == [1.0, 0.0]
+        assert lists["isHolding"] == [0.0, 0.0]
+
+    def test_an_earlier_assembly_keeps_its_list_form(self):
+        (ctx,), registry = contexts(1)
+        first = ctx.priors.assemble_all(registry)
+        ctx.priors.push(Predicate("isHolding", 1))
+        second = ctx.priors.assemble_all(registry)
+        later = ctx.listed(second)
+        earlier = ctx.listed(first)
+        assert later["isHolding"] == [0.0, 2.0]
+        assert earlier["isHolding"] == [0.0, 0.0]
+        assert ctx.listed(first) is earlier and ctx.listed(second) is later
+
+    def test_equal_assemblies_get_a_list_form_per_episode(self):
+        (a, b), registry = contexts(2)
+        for ctx in (a, b):
+            ctx.priors.set_nominal("n", [("isAt", 0)])
+            ctx.priors.push(Predicate("isHolding", 1))
+        assembly = a.priors.assemble_all(registry)
+        assert assembly is b.priors.assemble_all(registry)
+        assert a.listed(assembly) == b.listed(assembly)
+        assert a.listed(assembly) is not b.listed(assembly)
+
+    def test_an_assembly_dropped_from_its_table_keeps_its_list_form(self):
+        (ctx,), registry = contexts(1)
+        first = ctx.priors.assemble_all(registry)
+        lists = ctx.listed(first)
+        inference.clear_tables()   # as a capped table may, in mid-episode
+        again = ctx.priors.assemble_all(registry)
+        assert again is not first
+        assert ctx.listed(again) == lists and ctx.listed(again) is not lists
+        assert ctx.listed(first) is lists
 
 
 class TestTrace:

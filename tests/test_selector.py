@@ -64,6 +64,14 @@ def setting(registry, indices):
     return beliefs, observations, logical_state(beliefs)
 
 
+def nominal_only(registry):
+    """The assembly of a store that holds the tests' nominal entry and no
+    pushed entry: a store whose pushed entries are all gone assembles it."""
+    priors = PriorSet()
+    priors.set_nominal("n", [("isHolding", 0)])
+    return priors.assemble_all(registry)
+
+
 class TestAdaptiveSelect:
     def test_push_chain_reaches_executable_action(self):
         registry, actions = fetch_domain()
@@ -114,7 +122,7 @@ class TestAdaptiveSelect:
         verdict = adaptive_select(priors, beliefs, obs, logical,
                                   compile_domain(registry, actions))
         assert Predicate("isReachable", 0) in verdict.removed_pushed
-        assert priors.pushed_predicates() == []
+        assert priors.assemble_all(registry) is nominal_only(registry)
         # with the precondition met, Pick itself is selected
         assert verdict.action.name == "Pick"
 
@@ -220,7 +228,7 @@ class TestViableTable:
         verdict = adaptive_select(priors, beliefs, obs, logical,
                                   compile_domain(registry, actions))
         assert verdict.removed_pushed == [Predicate(*p) for p in order]
-        assert priors.pushed_predicates() == []
+        assert priors.assemble_all(registry) is nominal_only(registry)
 
 
 def test_a_tied_belief_is_read_four_ways():

@@ -62,7 +62,7 @@ class TestActions:
         w.step()
         assert w.running is None
         assert w.fluents["isAt"] == 0
-        assert w.last_completed is MOVE
+        assert w.last_result.template is MOVE
         assert w.last_result.status == "succeeded"
 
     def test_double_start_is_protocol_error(self):
