@@ -28,9 +28,10 @@ DEFAULT_HORIZON = 2
 PROB_TOL = 1e-9
 IDLE = "Idle"
 #: most entries a process-wide table (see :func:`table`) holds: one each for
-#: the interned matrices, the memo's terms and rows, the rounds,
-#: the parsed document sections and the trace texts.  A full table is
-#: emptied before its next insert.
+#: the interned matrices, the memo's terms, rows and row contents, the
+#: rounds, the parsed document sections, the preference assemblies, the
+#: viable names and the trace texts.  A full table is emptied before its
+#: next insert.
 TABLE_CAP = 4096
 _TABLES: list[dict] = []   # every table made by table()
 
@@ -279,7 +280,8 @@ class InferenceOutcome:
     """One action-selection round: the ``candidates`` and ``preferences``
     (state id -> C) it was scored under, and what it produced.  Policy ``p``
     is candidate ``p``'s one-step policy.  The three vectors are read-only
-    views of one buffer shared by all rounds with its rows (:data:`_ROUNDS`).
+    views of one buffer shared by all rounds whose rows have the same
+    serials, i.e. the same contents (:data:`_ROUNDS`).
     ``preferences`` is the mapping the caller passed, not a copy: in an
     episode it is the read-only assembly that
     :meth:`btai.domain.PriorSet.assemble_all` shares between all rounds under
@@ -373,8 +375,11 @@ class _StateModel:
 # The process-wide memo of rounds, shared by every model, episode and
 # scenario.  F and G are sums over independent state factors, so it keeps
 # each state's part of a round and the sweeps that part is made of.  Every
-# key is content: a matrix id from _MATRICES, a vector's bytes, or an int.
-# Two kinds of key, told apart by their length:
+# key is content: a matrix id from _MATRICES, a vector's bytes, floats, a
+# bool or an int.
+# Three kinds of key, told apart by their length:
+#   content, 2 slots: ((F per candidate, G per candidate), whether C is
+#       already satisfied) -> the serial of every row with that content
 #   term, 3 slots: (B id, bytes of D, observed value index or None)
 #       -> (posterior beliefs [s_1, s_2], read-only; F)
 #   row, 4 slots: (bytes of D, observed value index or None, the
@@ -382,18 +387,25 @@ class _StateModel:
 #       -> (F per candidate, G per candidate, beliefs per candidate,
 #           whether C is already satisfied, serial)
 # D is the prior belief and C the preferences.  A B id fixes the state's
-# size m, and with it I.  G has no key: a row miss evaluates it, and warm
-# rounds almost never miss a row.  Values are sweep outputs and floats,
-# never a caller's array.  The memo takes no lock: rounds run on one thread.
+# size m, and with it I.  G has no term of its own: a row miss evaluates
+# it, and warm rounds almost never miss a row.  Values are sweep outputs,
+# floats and serials, never a caller's array.  The memo takes no lock:
+# rounds run on one thread.
 _MEMO: dict[tuple, object] = table()
-# A row's serial comes from a counter and is never reused, so it names the
-# row's content for the life of the process, like a matrix id.
+# A row's serial names the content a round reads of it: its F, G and
+# satisfied flag (see _round).  Row keys hold the exact bytes of D, and
+# beliefs that differ only below the 1e-16 log clamp give equal rows under
+# different keys; the content key gives them one serial, so their rounds
+# share one entry.  A serial comes from a counter on a content miss and is
+# never reused, so it names one content for the life of the process, like
+# a matrix id.  After the memo is emptied a content comes back under a new
+# serial, and rounds keyed by the old one wait for the next clear.
 _ROW_SERIALS = itertools.count()
 # The process-wide table of whole rounds.  A round is a function of its
-# rows, so it is keyed by (number of candidates, then each row's serial in
-# model order; the count tells apart rounds of a model without states)
-# -> the float64 bytes of F | G | policy posterior | the index of the
-# chosen candidate, or -1 for Idle.  One bytes object, not an array
+# rows' contents, so it is keyed by (number of candidates, then each row's
+# serial in model order; the count tells apart rounds of a model without
+# states) -> the float64 bytes of F | G | policy posterior | the index of
+# the chosen candidate, or -1 for Idle.  One bytes object, not an array
 # and an int in a tuple: a full table holds 4096 entries, and this saves
 # about 130 B on each.  An index, not a name: rows are keyed by
 # transitions, so rounds over different names share an entry.
@@ -428,8 +440,16 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
     if index is None:
         index = logical_state({None: prior})[None]
     satisfied = preferences_satisfied(index, c)
-    return remember(_MEMO, row_key, (tuple(f_row), tuple(g_row), tuple(per_policy),
-                                     satisfied, next(_ROW_SERIALS)))
+    f_row, g_row = tuple(f_row), tuple(g_row)
+    # 0.0 == -0.0 and both hash alike, so rows that differ only in the sign
+    # of a zero share a serial.  That changes no round byte: _round starts
+    # each sum at +0.0, and a sum is -0.0 only when both its terms are, so
+    # no sum is ever -0.0, and adding +0.0 or -0.0 to it gives the same bits.
+    content = ((f_row, g_row), satisfied)
+    serial = _MEMO.get(content)
+    if serial is None:
+        serial = remember(_MEMO, content, next(_ROW_SERIALS))
+    return remember(_MEMO, row_key, (f_row, g_row, tuple(per_policy), satisfied, serial))
 
 
 def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:

@@ -4,6 +4,7 @@ and scenarios changes no byte.  Perception reads the same model and must
 equal its formula bit for bit."""
 
 import collections
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import btai
 from btai import domain as domain_mod
@@ -162,7 +163,7 @@ def test_rows_follow_candidate_order_and_pushes(seed, rounds):
                                       candidates, observations)
 
 
-def test_memo_holds_only_terms_and_rows():
+def test_memo_holds_only_terms_rows_and_contents():
     inference.clear_tables()
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -177,8 +178,13 @@ def test_memo_holds_only_terms_and_rows():
             pushed[int(rng.integers(pushed.size))] = 2.0
             c = {**c, sid: pushed}
             run_active_inference(model, candidates, observed_indices(observations), d, c)
-    # a term has 3 slots and a row 4; G is evaluated into its row
-    assert {len(key) for key in inference._MEMO} == {3, 4}
+    # a row content has 2 slots, a term 3 and a row 4; G is evaluated into
+    # its row
+    assert {len(key) for key in inference._MEMO} == {2, 3, 4}
+    # every row's serial is the one its content names
+    for key in _rows():
+        f, g, _, satisfied, serial = inference._MEMO[key]
+        assert inference._MEMO[((f, g), satisfied)] == serial
 
 
 def _rows() -> list[tuple]:
@@ -278,6 +284,13 @@ def _round_bytes(out) -> tuple:
             out.policy_probs.tobytes(), out.chosen_action)
 
 
+def _below_clamp(beliefs: dict) -> dict:
+    """``beliefs`` with 1e-20 for each exact zero: other bytes, so other row
+    keys, but the same logs under the 1e-16 clamp, so the same row
+    contents."""
+    return {sid: np.where(b == 0.0, 1e-20, b) for sid, b in beliefs.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(1, 8))
 def test_warm_rounds_equal_cold_rounds(seed, rounds):
@@ -291,6 +304,8 @@ def test_warm_rounds_equal_cold_rounds(seed, rounds):
     belief_pool, c_pool = [beliefs], [base_c]
     for sid, f in factors.items():
         belief_pool.append({**beliefs, sid: rng.dirichlet(np.ones(f.m))})
+        # a one-hot belief, whose zeros have twins below the clamp
+        belief_pool.append({**beliefs, sid: np.eye(f.m)[rng.integers(f.m)]})
         c = np.zeros(f.m)
         c[rng.integers(f.m)] = 2.0
         c_pool.append({**base_c, sid: c})
@@ -303,9 +318,16 @@ def test_warm_rounds_equal_cold_rounds(seed, rounds):
         run_active_inference(model, candidates, indices, d, c)
         size = len(inference._ROUNDS)
         warm = run_active_inference(model, candidates, indices, d, c)
+        # rows that differ from d's only below the clamp have d's serials,
+        # so their round hits d's entry
+        twin = run_active_inference(model, candidates, indices, _below_clamp(d), c)
         assert len(inference._ROUNDS) == size
+        assert _round_bytes(twin) == _round_bytes(warm)
         inference.clear_tables()
         cold = run_active_inference(model, candidates, indices, d, c)
+        assert _round_bytes(warm) == _round_bytes(cold)
+        inference.clear_tables()
+        cold = run_active_inference(model, candidates, indices, _below_clamp(d), c)
         assert _round_bytes(warm) == _round_bytes(cold)
         _assert_round_equals_uncached(warm, _transitions(factors), d, c,
                                       candidates, observations)
@@ -341,17 +363,125 @@ def test_rounds_over_equal_transitions_share_one_entry():
                      ("wait", "twin"): "twin", ("twin", "wait"): "twin"}
 
 
+def test_beliefs_equal_above_the_clamp_share_a_serial():
+    inference.clear_tables()
+    model = CompiledModel({"s": 2}, {"s": {"act": np.array([[0.9, 0.2], [0.1, 0.8]])}})
+    c = {"s": np.array([0.0, 2.0])}
+    outs = [run_active_inference(model, ["Idle", "act"], {}, {"s": np.array(d)}, c)
+            for d in ([1.0, 0.0], [1.0, 1e-20])]
+    # two row keys, one content, one serial, one round
+    rows = _rows()
+    assert len(rows) == 2
+    assert len({inference._MEMO[key][4] for key in rows}) == 1
+    assert len(inference._ROUNDS) == 1
+    assert _round_bytes(outs[0]) == _round_bytes(outs[1])
+    assert outs[0].chosen_action == "act"
+    # each round reads the beliefs of its own row
+    for out, key in zip(outs, rows):
+        assert out.per_policy_beliefs["s"] is inference._MEMO[key][2]
+
+
+_ZERO_OR_FLOAT = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def _row_contents(draw):
+    """A number of candidates n and 1-4 row contents (F, G, satisfied)."""
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[_ZERO_OR_FLOAT] * n)
+    return n, draw(st.lists(st.tuples(vector, vector, st.booleans()), min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_row_contents())
+@example(drawn=(2, [((0.0, 1.5), (-0.0, 0.25), False), ((-0.0, 0.0), (0.0, -0.0), True)]))
+def test_a_row_holding_minus_zero_gives_the_round_of_plus_zero(drawn):
+    # 0.0 == -0.0, so rows that differ only in the sign of a zero have one
+    # content key and share a serial.  _round starts each sum at +0.0, which
+    # a sum never leaves for -0.0, and adding either zero to it gives the
+    # same bits.
+    n, contents = drawn
+
+    def flip(vector):
+        return tuple(-x if x == 0.0 else x for x in vector)
+
+    rows = [(f, g, (), satisfied, 0) for f, g, satisfied in contents]
+    flipped = [(flip(f), flip(g), (), satisfied, 1) for f, g, satisfied in contents]
+    assert ([((f, g), s) for f, g, _, s, _ in rows]
+            == [((f, g), s) for f, g, _, s, _ in flipped])
+    try:
+        assert inference._round(rows, n, ("plus",)) == inference._round(flipped, n, ("minus",))
+    finally:
+        inference.clear_tables()
+
+
+PRIOR_SCENARIOS = ("scenario_1.yaml", "scenario_1_conflict.yaml",
+                   "scenario_1_prior_nav.yaml", "scenario_failure.yaml",
+                   "scenario_safety.yaml")
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), cap=st.sampled_from([60, 4096]))
+def test_rounds_never_see_the_same_row_contents_twice_between_clears(seed, cap):
+    # noisy, stochastic episodes of the prior-node scenarios: beliefs that
+    # differ only below the log clamp give rows under different keys with
+    # equal contents.  A round is a function of its rows' contents, so while
+    # neither the memo nor the table of rounds is emptied no round is
+    # evaluated twice.  A round whose rows were looked up before the memo
+    # was emptied in its middle carries serials that no later row gets, so
+    # it is not counted.
+    seen, serials = set(), set()   # serials given since the memo was emptied
+    checked = []
+    remember, evaluate = inference.remember, inference._round
+
+    def watching_remember(table, key, value):
+        full = len(table) >= inference.TABLE_CAP
+        if table is inference._MEMO:
+            if full:
+                seen.clear()
+                serials.clear()
+            if len(key) == 2:
+                serials.add(value)
+        elif table is inference._ROUNDS and full:
+            seen.clear()
+        return remember(table, key, value)
+
+    def watching_round(rows, n, round_key):
+        if serials.issuperset(round_key[1:]):
+            contents = (n, tuple((f, g, satisfied) for f, g, _, satisfied, _ in rows))
+            assert contents not in seen
+            seen.add(contents)
+            checked.append(round_key)
+        return evaluate(rows, n, round_key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "TABLE_CAP", cap)
+        mp.setattr(inference, "remember", watching_remember)
+        mp.setattr(inference, "_round", watching_round)
+        inference.clear_tables()
+        rng = np.random.default_rng(seed)
+        for name in PRIOR_SCENARIOS * 3:
+            scenario = dataclasses.replace(
+                parse_scenario(shipped_scenario_path(name)), noise_p=0.1)
+            run_episode(scenario, seed=int(rng.integers(2 ** 31)), deterministic=False)
+    inference.clear_tables()
+    assert checked
+
+
 @pytest.mark.parametrize("cap", [3, 40])
 def test_tables_stay_within_their_cap(monkeypatch, cap):
     # with cap 3 the memo is also emptied inside a row's evaluation
     monkeypatch.setattr(inference, "TABLE_CAP", cap)
     inference.clear_tables()
-    remembered, rounds = [], []
+    remembered, rounds, serials = [], [], set()
     remember = inference.remember
 
     def counting_remember(table, key, value):
         if table is inference._MEMO:
             remembered.append(key)
+            if len(key) == 2:   # a row content gets a serial never used before
+                assert value not in serials
+                serials.add(value)
         elif table is inference._ROUNDS:
             rounds.append(key)
         return remember(table, key, value)
@@ -368,8 +498,12 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
                              else CompiledModel.from_factors(factors))
         # revisit a few beliefs, so that later rounds hit earlier keys
         pool = [beliefs, {sid: rng.dirichlet(np.ones(f.m)) for sid, f in factors.items()}]
-        for _ in range(3):
+        # and one-hot beliefs, whose twins below the clamp share contents
+        pool.append({sid: np.eye(f.m)[0] for sid, f in factors.items()})
+        for _ in range(4):
             d = pool[int(rng.integers(len(pool)))]
+            if rng.random() < 0.5:
+                d = _below_clamp(d)
             k = int(rng.integers(1, len(actions) + 1))
             candidates = [str(u) for u in rng.permutation(actions)[:k]]
             out = run_active_inference(model, candidates, observed_indices(observations),
@@ -381,6 +515,10 @@ def test_tables_stay_within_their_cap(monkeypatch, cap):
             assert len(inference._ROUNDS) <= cap
     assert len(remembered) > 5 * cap
     assert len(rounds) > 5 * cap
+    kinds = collections.Counter(len(key) for key in remembered)
+    assert 5 * cap < kinds[2] <= kinds[4]
+    if cap > 3:   # fewer contents than rows: twins share a serial
+        assert kinds[2] < kinds[4]
 
     # the assembly and viable tables: every call below brings a registry
     # and actions of its own, so each misses both tables
