@@ -175,11 +175,7 @@ def assign_ids(root: BTNode) -> list[BTNode]:
 
 def node_count(root: BTNode) -> int:
     """Number of nodes under ``root``, itself included; writes no node id."""
-    count, stack = 0, [root]
-    while stack:
-        count += 1
-        stack.extend(stack.pop().children)
-    return count
+    return len(_preorder(root))
 
 
 _CONTROL_KINDS = {

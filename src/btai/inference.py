@@ -28,10 +28,9 @@ DEFAULT_HORIZON = 2
 PROB_TOL = 1e-9
 IDLE = "Idle"
 #: most entries a process-wide table (see :func:`table`) holds: one each for
-#: the interned matrices, the memo's terms, rows and row contents, the
-#: rounds, the parsed document sections, the preference assemblies, the
-#: viable names and the trace texts.  A full table is emptied before its
-#: next insert.
+#: the interned matrices, the memo's terms and rows, the rounds, the parsed
+#: document sections, the preference assemblies, the viable names and the
+#: trace texts.  A full table is emptied before its next insert.
 TABLE_CAP = 4096
 _TABLES: list[dict] = []   # every table made by table()
 
@@ -281,7 +280,7 @@ class InferenceOutcome:
     (state id -> C) it was scored under, and what it produced.  Policy ``p``
     is candidate ``p``'s one-step policy.  The three vectors are read-only
     views of one buffer shared by all rounds whose rows have the same
-    serials, i.e. the same contents (:data:`_ROUNDS`).
+    contents (:data:`_ROUNDS`).
     ``preferences`` is the mapping the caller passed, not a copy: in an
     episode it is the read-only assembly that
     :meth:`btai.domain.PriorSet.assemble_all` shares between all rounds under
@@ -375,40 +374,33 @@ class _StateModel:
 # The process-wide memo of rounds, shared by every model, episode and
 # scenario.  F and G are sums over independent state factors, so it keeps
 # each state's part of a round and the sweeps that part is made of.  Every
-# key is content: a matrix id from _MATRICES, a vector's bytes, floats, a
-# bool or an int.
-# Three kinds of key, told apart by their length:
-#   content, 2 slots: ((F per candidate, G per candidate), whether C is
-#       already satisfied) -> the serial of every row with that content
+# key is content: a matrix id from _MATRICES, a vector's bytes or an int.
+# Two kinds of key, told apart by their length:
 #   term, 3 slots: (B id, bytes of D, observed value index or None)
 #       -> (posterior beliefs [s_1, s_2], read-only; F)
 #   row, 4 slots: (bytes of D, observed value index or None, the
 #       candidates' transition ids on the state, bytes of C)
-#       -> (F per candidate, G per candidate, beliefs per candidate,
-#           whether C is already satisfied, serial)
+#       -> (content: the float64 bytes of F per candidate | G per
+#           candidate | 1.0 if C is already satisfied else 0.0,
+#           beliefs per candidate)
 # D is the prior belief and C the preferences.  A B id fixes the state's
 # size m, and with it I.  G has no term of its own: a row miss evaluates
 # it, and warm rounds almost never miss a row.  Values are sweep outputs,
-# floats and serials, never a caller's array.  The memo takes no lock:
+# floats and bytes, never a caller's array.  The memo takes no lock:
 # rounds run on one thread.
-_MEMO: dict[tuple, object] = table()
-# A row's serial names the content a round reads of it: its F, G and
-# satisfied flag (see _round).  Row keys hold the exact bytes of D, and
-# beliefs that differ only below the 1e-16 log clamp give equal rows under
-# different keys; the content key gives them one serial, so their rounds
-# share one entry.  A serial comes from a counter on a content miss and is
-# never reused, so it names one content for the life of the process, like
-# a matrix id.  After the memo is emptied a content comes back under a new
-# serial, and rounds keyed by the old one wait for the next clear.
-_ROW_SERIALS = itertools.count()
+_MEMO: dict[tuple, tuple] = table()
 # The process-wide table of whole rounds.  A round is a function of its
 # rows' contents, so it is keyed by (number of candidates, then each row's
-# serial in model order; the count tells apart rounds of a model without
+# content in model order; the count tells apart rounds of a model without
 # states) -> the float64 bytes of F | G | policy posterior | the index of
-# the chosen candidate, or -1 for Idle.  One bytes object, not an array
-# and an int in a tuple: a full table holds 4096 entries, and this saves
-# about 130 B on each.  An index, not a name: rows are keyed by
-# transitions, so rounds over different names share an entry.
+# the chosen candidate, or -1 for Idle.  Row keys hold the exact bytes of
+# D, and beliefs that differ only below the 1e-16 log clamp give rows under
+# different keys with equal contents, so their rounds share one entry.  A
+# key holds the rows' own bytes objects, each of which caches its hash, and
+# still names its round after the memo is emptied.  One bytes object as the
+# value, not an array and an int in a tuple: a full table holds 4096
+# entries, and this saves about 130 B on each.  An index, not a name: rows
+# are keyed by transitions, so rounds over different names share an entry.
 _ROUNDS: dict[tuple, bytes] = table()
 
 
@@ -439,34 +431,21 @@ def _row(state: _StateModel, actions: Sequence[str], prior: np.ndarray,
         g_row.append(expected_free_energy(term[0], c))
     if index is None:
         index = logical_state({None: prior})[None]
-    satisfied = preferences_satisfied(index, c)
-    f_row, g_row = tuple(f_row), tuple(g_row)
-    # 0.0 == -0.0 and both hash alike, so rows that differ only in the sign
-    # of a zero share a serial.  That changes no round byte: _round starts
-    # each sum at +0.0, and a sum is -0.0 only when both its terms are, so
-    # no sum is ever -0.0, and adding +0.0 or -0.0 to it gives the same bits.
-    content = ((f_row, g_row), satisfied)
-    serial = _MEMO.get(content)
-    if serial is None:
-        serial = remember(_MEMO, content, next(_ROW_SERIALS))
-    return remember(_MEMO, row_key, (f_row, g_row, tuple(per_policy), satisfied, serial))
+    content = np.array(f_row + g_row + [preferences_satisfied(index, c)], dtype=float)
+    return remember(_MEMO, row_key, (content.tobytes(), tuple(per_policy)))
 
 
-def _round(rows: Sequence[tuple], n: int, round_key: tuple) -> bytes:
-    """The :data:`_ROUNDS` entry of a round over ``n`` candidates made of
-    ``rows``, stored under ``round_key``.  The rows are added state by state
-    in model order, then candidate by candidate: the order of an uncached
-    round's additions, so the sums are bit-identical.  The sums stay lazy
-    until the last row is in.  A round is Idle when every row is satisfied."""
-    f_total = g_total = (0.0,) * n
-    satisfied = True
-    for f_row, g_row, _, state_satisfied, _ in rows:
-        f_total = map(operator.add, f_total, f_row)
-        g_total = map(operator.add, g_total, g_row)
-        satisfied = satisfied and state_satisfied
-    f, g = np.array(list(f_total)), np.array(list(g_total))
+def _round(round_key: tuple) -> bytes:
+    """The :data:`_ROUNDS` entry of ``round_key``: the number of candidates
+    n, then each state's row content in model order.  The contents are
+    added in model order from +0.0, so each element gets an uncached
+    round's additions and the sums are bit-identical.  The last slot counts
+    the satisfied rows: a round is Idle when it equals the number of rows."""
+    n = round_key[0]
+    total = sum(map(np.frombuffer, round_key[1:]), np.zeros(2 * n + 1))
+    f, g = total[:n], total[n:2 * n]
     pi = policy_posterior(f, g)
-    chosen = -1 if satisfied else select_action(pi, range(n))
+    chosen = -1 if total[2 * n] == len(round_key) - 1 else select_action(pi, range(n))
     return remember(_ROUNDS, round_key, np.concatenate((f, g, pi, [chosen])).tobytes())
 
 
@@ -543,7 +522,6 @@ def run_active_inference(
         raise NoPoliciesError("no candidate actions")
     candidates = tuple(actions)
     n = len(candidates)
-    rows = []
     per_policy: dict[str, Sequence[list[np.ndarray]]] = {}
     round_key = [n]
     for (sid, state), ids in zip(model.states.items(), model.transition_ids(candidates)):
@@ -558,14 +536,13 @@ def run_active_inference(
         row = _MEMO.get(key)
         if row is None:
             row = _row(state, candidates, prior, c, key)
-        rows.append(row)
-        per_policy[sid] = row[2]
-        round_key.append(row[4])
+        round_key.append(row[0])
+        per_policy[sid] = row[1]
 
     round_key = tuple(round_key)
     packed = _ROUNDS.get(round_key)
     if packed is None:
-        packed = _round(rows, n, round_key)
+        packed = _round(round_key)
     vector = np.frombuffer(packed)   # read-only: it views the bytes
     chosen = int(vector[3 * n])
     return InferenceOutcome(

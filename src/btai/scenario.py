@@ -32,7 +32,7 @@ from .domain import (
     strict_str,
     strict_str_list,
 )
-from .inference import IDLE, CompiledModel, remember, table
+from .inference import IDLE, remember, table
 from .world import PerturbationEvent, World
 
 FORMAT_VERSION = "btai-scenario/1"
@@ -104,13 +104,6 @@ class Scenario:
     def actions(self) -> tuple[ActionTemplate, ...]:
         return self.domain.actions
 
-    @property
-    def model(self) -> CompiledModel:
-        return self.domain.model
-
-    def registry(self) -> StateRegistry:
-        return self.domain.registry
-
     def actions_by_name(self) -> Mapping[str, ActionTemplate]:
         return self.domain.actions_by_name
 
@@ -174,7 +167,9 @@ def _parse_action(raw, registry: StateRegistry, source) -> ActionTemplate:
         if sid in explicit:
             transitions[sid] = _parse_matrix(explicit[sid],
                                              f"action {name}: transition[{sid}]")
-        else:
+        elif 0 <= idx < registry.get(sid).m:
+            # an index out of range gets no matrix: validate_action below
+            # rejects it with its one message
             transitions[sid] = achieve_matrix(registry.get(sid).m, idx)
     for sid in explicit:
         if sid not in transitions:

@@ -222,7 +222,7 @@ class TestSharedScenario:
             assert run_episode(sc).bt_nodes == sc.bt_nodes == self.BT_NODES[name]
             assert not calls, (name, calls)
             assert sc.build_tree() is sc.build_tree()
-            assert sc.registry() is sc.registry()
+            assert sc.domain.registry is sc.domain.registry
             assert sc.actions_by_name() is sc.actions_by_name()
 
     @pytest.mark.parametrize("name", SHIPPED)
@@ -266,8 +266,8 @@ class TestSharedScenario:
         count(bt, "build_tree")
         count(scenario_mod, "compile_domain")
         noisy = dataclasses.replace(sc, noise_p=0.1)
-        assert noisy.domain is sc.domain and noisy.model is sc.model
-        assert noisy.registry() is sc.registry()
+        assert noisy.domain is sc.domain and noisy.domain.model is sc.domain.model
+        assert noisy.domain.registry is sc.domain.registry
         assert noisy.build_tree() is not sc.build_tree()
         assert calls == {"build_tree": 1}
 
@@ -277,8 +277,8 @@ class TestSharedScenario:
         a = scenario_mod.scenario_from_dict(data)
         b = scenario_mod.scenario_from_dict(copy.deepcopy(data))
         assert a.domain is b.domain
-        assert a.registry() is b.registry()
-        assert a.model is b.model
+        assert a.domain.registry is b.domain.registry
+        assert a.domain.model is b.domain.model
         assert a.actions_by_name() is b.actions_by_name()
         # the states and actions are shared tuples; the tree is each
         # scenario's own

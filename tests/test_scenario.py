@@ -168,6 +168,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="finite"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    @pytest.mark.parametrize("index", [-1, 2, 5])   # isReachable has m = 2
+    def test_postcondition_index_out_of_range(self, index, explicit):
+        data = base_dict()
+        data["actions"][1]["post"] = [{"state": "isReachable", "index": index}]
+        if explicit:
+            data["actions"][1]["transitions"] = {
+                "isReachable": [[0.8, 0.7], [0.2, 0.3]]}
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(data)
+        assert str(info.value) == (
+            "<memory>: action moveTo(shelf): bad postcondition index on isReachable")
+
     @pytest.mark.parametrize("index", [5, -1])
     def test_perturbation_index_out_of_range(self, index):
         data = base_dict()

@@ -191,7 +191,7 @@ def _outcome(doc):
          for a in sc.actions],
         [(sid, state.identity[1].tobytes(),
           [(name, entry[1].tobytes()) for name, entry in state.transitions.items()])
-         for sid, state in sc.model.states.items()],
+         for sid, state in sc.domain.model.states.items()],
         export_graph(sc.build_tree()),
     )
 
