@@ -11,9 +11,9 @@ file with a fixed field order so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import stat
-from array import array
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -29,7 +29,7 @@ from .domain import (
     update_beliefs,
 )
 from .inference import remember, table
-from .scenario import Scenario
+from .scenario import Scenario, _holds_bytes
 from .selector import (
     SelectorVerdict,
     adaptive_select,
@@ -245,125 +245,83 @@ def run_episode(
 
 # -- trace encoding ---------------------------------------------------------
 #
-# A record's line is assembled in the fixed field order of _make_record and
-# _serialize_verdict from fragments: float vectors (F, G, the policy
-# posterior), belief entries, maps of preferences and small fields (value
-# indices, names, id lists).  Fragments repeat across ticks and episodes
-# far more often than records do, so the JSON text of each fragment is kept
-# in _TEXT under its exact content.  A lookup is ``_TEXT.get(key) or
-# remember(_TEXT, key, text)``: JSON text is never empty, so the generic
-# encoder runs only on a miss.  The text for a key is always that encoder's
-# output, so a line has the bytes of json.dumps(record, separators=(",", ":")).
+# A line is assembled in the fixed field order of _make_record and
+# _serialize_verdict from the JSON text of its fragments (F, G and policy
+# vectors, each state's belief entry, preference maps, ids and names).
+# Fragments recur across ticks and episodes far more than records do, so
+# _text keeps each one's text in _TEXT, a process-wide table (see
+# inference.table), under one key: its marshal bytes, version 2, as in the
+# parse table (scenario._DOMAINS).  Marshal tells True, 1 and 1.0 apart, and
+# -0.0 from 0.0, and a list from a tuple; NaNs with equal bits share a key.
+# A key's text is the generic encoder's output for its content, so a line
+# has the bytes of json.dumps(record, separators=(",", ":")) for every
+# record with the fields and nesting of _make_record that json.dumps
+# accepts.  A subclass or a foreign type has no key (ValueError) and is
+# encoded without the memo; a buffer object (a numpy scalar, say) marshals
+# as bytes, so no text is stored for content that holds one.
 #
-# Keys.  A key is a tuple whose first item is the fragment's kind, so equal
-# contents of two kinds never share a key; a name (a str or None) is its own
-# key.  Floats are keyed by value, which builds and hashes fastest, unless
-# they contain a zero: 0.0 == -0.0 and both hash alike, yet they print
-# differently, so floats with a zero are keyed by their packed bytes.  Other
-# values are keyed as the schema types them: ints (never bools), strings
-# and None.  A key holding a NaN may miss, which costs time, never bytes.
-#
-# Beliefs are keyed per state: a tick's joint beliefs repeat far less often
-# than its vectors.  A map of preferences is keyed whole, since there are
-# few of them.  Like the planner's tables, the memo is a process-wide table
-# (see inference.table), as fragments recur across episodes.
-#
-# Shared maps.  The list forms of preference maps live with the episode:
-# EpisodeContext.lists maps an assembly's id() to the assembly and its list
-# form, built on first use, so a record and each of its calls hold one dict
-# per assembly and two episodes never share one.  Each entry holds its
-# assembly, so no id is reused while the episode runs, even when the capped
-# table of assemblies in btai.domain drops one in mid-episode.  write_trace
-# keeps a second cache, ``seen``, from a map's id() to its text, made for
-# one call and dropped with it; the records hold every map for the whole
-# call, so no id is reused while it lives.  A map that misses ``seen``, and
-# any record encoded on its own, goes through _TEXT.
-_TEXT: dict = table()
+# Shared maps.  EpisodeContext.lists holds, per episode, one list form per
+# assembly with the assembly itself, so a record and its calls share one
+# dict and no id is reused while the episode runs.  write_trace keeps a
+# second cache, ``seen``, from a map's id() to its text for one call, while
+# the records hold every map.  A map that misses ``seen``, and any record
+# encoded on its own, goes through _TEXT.
+_TEXT: dict[bytes, str] = table()
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-_FLOATS, _BELIEF, _PREFERENCES, _INDICES, _LIST, _PAIRS = range(6)
 
 
-def _name(name) -> str:
-    return _TEXT.get(name) or remember(_TEXT, name, _encode(name))
-
-
-def _floats(v: list) -> str:
-    key = (_FLOATS, *v) if 0.0 not in v else (_FLOATS, array("d", v).tobytes())
-    return _TEXT.get(key) or remember(_TEXT, key, _encode(v))
-
-
-def _beliefs(beliefs: dict) -> str:
-    entries = []
-    for sid, v in beliefs.items():
-        key = ((_BELIEF, sid, *v) if 0.0 not in v
-               else (_BELIEF, sid, array("d", v).tobytes()))
-        entries.append(_TEXT.get(key) or remember(_TEXT, key, _encode({sid: v})[1:-1]))
-    return "{" + ",".join(entries) + "}"
-
-
-def _preferences(preferences: dict) -> str:
-    vectors = preferences.values()
-    flat = [x for v in vectors for x in v]
-    # the state ids, then the lengths that split ``flat`` into vectors
-    head = (_PREFERENCES, *preferences, *map(len, vectors))
-    key = (*head, *flat) if 0.0 not in flat else (*head, array("d", flat).tobytes())
-    return _TEXT.get(key) or remember(_TEXT, key, _encode(preferences))
-
-
-def _indices(values: dict) -> str:
-    key = (_INDICES, *values.items())
-    return _TEXT.get(key) or remember(_TEXT, key, _encode(values))
-
-
-def _list(items: list) -> str:
-    key = (_LIST, *items)
-    return _TEXT.get(key) or remember(_TEXT, key, _encode(items))
-
-
-def _pairs(pairs: list) -> str:
-    key = (_PAIRS, *map(tuple, pairs))
-    return _TEXT.get(key) or remember(_TEXT, key, _encode(pairs))
+def _text(value) -> str:
+    try:
+        key = marshal.dumps(value, 2)
+    except ValueError:   # a subclass, a foreign type, or too deep
+        return _encode(value)
+    text = _TEXT.get(key)
+    if text is None:
+        text = _encode(value)
+        if not _holds_bytes(marshal.loads(key)):
+            remember(_TEXT, key, text)
+    return text
 
 
 def _shared_preferences(preferences: dict, seen: dict) -> str:
     text = seen.get(id(preferences))
     if text is None:
-        text = seen[id(preferences)] = _preferences(preferences)
+        text = seen[id(preferences)] = _text(preferences)
     return text
 
 
 def _call(call: dict, seen: dict) -> str:
     return ('{"candidates":%s,"preferences":%s,"F":%s,"G":%s,"policy_probs":%s,'
             '"chosen":%s}' % (
-                _list(call["candidates"]), _shared_preferences(call["preferences"], seen),
-                _floats(call["F"]), _floats(call["G"]),
-                _floats(call["policy_probs"]), _name(call["chosen"])))
+                _text(call["candidates"]), _shared_preferences(call["preferences"], seen),
+                _text(call["F"]), _text(call["G"]),
+                _text(call["policy_probs"]), _text(call["chosen"])))
 
 
 def _verdict(verdict: dict, seen: dict) -> str:
-    return ('{"node":%d,"status":%s,"action":%s,"pushed":%s,"removed_pushed":%s,'
+    return ('{"node":%s,"status":%s,"action":%s,"pushed":%s,"removed_pushed":%s,'
             '"chain":%s,"calls":[%s]}' % (
-                verdict["node"], _name(verdict["status"]), _name(verdict["action"]),
-                _pairs(verdict["pushed"]), _pairs(verdict["removed_pushed"]),
-                _list(verdict["chain"]), ",".join([_call(c, seen) for c in verdict["calls"]])))
+                _text(verdict["node"]), _text(verdict["status"]), _text(verdict["action"]),
+                _text(verdict["pushed"]), _text(verdict["removed_pushed"]),
+                _text(verdict["chain"]), ",".join([_call(c, seen) for c in verdict["calls"]])))
 
 
 def _encode_record(record: dict, seen: Optional[dict] = None) -> str:
     """One trace line: ``json.dumps(record, separators=(",", ":"))`` for a
-    record built by :func:`_make_record`.  ``seen`` is the caller's cache of
-    shared preference maps' texts by id(); the caller must keep every map
-    it holds alive while it uses the cache."""
-    if seen is None:
-        seen = {}
-    return ('{"tick":%d,"observations":%s,"beliefs":%s,"logical":%s,'
+    record with the fields of :func:`_make_record`, in its order.  ``seen``
+    is the caller's cache of shared preference maps' texts by id(); the
+    caller must keep every map it holds alive while it uses the cache."""
+    seen = {} if seen is None else seen
+    # keyed per state: a tick's joint beliefs repeat far less than each entry
+    beliefs = ",".join([_text({sid: v})[1:-1] for sid, v in record["beliefs"].items()])
+    return ('{"tick":%s,"observations":%s,"beliefs":{%s},"logical":%s,'
             '"preferences":%s,"selector":[%s],"started":%s,"running":%s,'
             '"visited":%s,"root_status":%s}' % (
-                record["tick"], _indices(record["observations"]),
-                _beliefs(record["beliefs"]), _indices(record["logical"]),
-                _shared_preferences(record["preferences"], seen),
+                _text(record["tick"]), _text(record["observations"]), beliefs,
+                _text(record["logical"]), _shared_preferences(record["preferences"], seen),
                 ",".join([_verdict(v, seen) for v in record["selector"]]),
-                _list(record["started"]), _name(record["running"]),
-                _list(record["visited"]), _name(record["root_status"])))
+                _text(record["started"]), _text(record["running"]),
+                _text(record["visited"]), _text(record["root_status"])))
 
 
 def write_trace(result: EpisodeResult, path):

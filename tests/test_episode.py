@@ -1,9 +1,11 @@
 import collections
 import copy
 import dataclasses
+import enum
 import importlib
 import itertools
 import json
+import marshal
 import math
 import os
 import pkgutil
@@ -12,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -642,8 +645,11 @@ def encode_all(records):
 
 class TestTraceEncoding:
     """A line is assembled from a process-wide memo of fragment texts
-    (``btai.episode._TEXT``); whatever the memo holds, it must have the bytes
-    of json.dumps."""
+    (``btai.episode._TEXT``), each keyed by its fragment's marshal bytes;
+    whatever the memo holds, a line must have the bytes of json.dumps.  So
+    values that compare equal but print differently (1, 1.0 and True; 0.0
+    and -0.0) keep their own text, NaNs with equal bits share one, and a
+    value marshal cannot key exactly is encoded without the memo."""
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(SHIPPED), seed=st.integers(0, 2 ** 31 - 1))
@@ -678,6 +684,65 @@ class TestTraceEncoding:
         for value in (first, then):
             edited = [edit(r, [value], {}) for r in records]
             assert encode_all(edited) == [dumps(r) for r in edited]
+
+    def test_type_variants_keep_their_own_text(self):
+        record = run("scenario_1.yaml").records[0]
+        sid = next(iter(record["beliefs"]))
+        swaps = [  # (path to a slot, its value in the base copy, in the variant)
+            (("observations", sid), 1, True), (("observations", sid), 0, False),
+            (("logical", sid), 1, True), (("logical", sid), 0, False),
+            (("visited", 0), 1, True), (("visited", 0), 0, False),
+            (("tick",), 0, False), (("selector", 0, "node"), 1, True),
+            (("beliefs", sid, 0), 1.0, 1),
+            (("selector", 0, "calls", 0, "F", 0), 1.0, 1),
+            (("preferences", sid, 0), 1.0, 1),
+        ]
+
+        def put(path, value):
+            copied = copy.deepcopy(record)
+            node = copied
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+            return copied
+
+        records = [put(path, value) for path, *values in swaps for value in values]
+        expected = [dumps(r) for r in records]
+        # warm: each variant follows a base copy whose value compares equal
+        assert encode_all(records) == expected
+        inference.clear_tables()
+        assert encode_all(records[::-1]) == expected[::-1]
+
+    def test_nans_share_a_key_and_unkeyable_values_store_nothing(self):
+        record = run("scenario_1.yaml").records[0]
+
+        def with_nans():
+            return dict(record, beliefs={sid: [float("nan") for _ in v]
+                                         for sid, v in record["beliefs"].items()})
+
+        inference.clear_tables()
+        first, second = with_nans(), with_nans()
+        assert episode._encode_record(first) == dumps(first)
+        size = len(episode._TEXT)
+        assert episode._encode_record(second) == dumps(second)
+        assert len(episode._TEXT) == size
+
+        # a subclass has no marshal key, and a buffer object marshals as
+        # bytes: np.float64 and np.str_ with the same buffer get one key
+        Index = enum.IntEnum("Index", {"ZERO": 0, "ONE": 1}, start=0)
+        indices = {sid: Index(v) for sid, v in record["logical"].items()}
+        preferences = collections.OrderedDict((sid, [0.5, 0.5]) for sid in indices)
+        text = np.str_("ab")
+        number = np.frombuffer(text.tobytes(), dtype=np.float64)[0]
+        for started in ([number], [text]):
+            edited = dict(record, observations=indices, logical=indices,
+                          preferences=preferences, started=started)
+            inference.clear_tables()
+            assert episode._encode_record(edited) == dumps(edited)
+            assert episode._encode_record(edited) == dumps(edited)
+            stored = [marshal.loads(key) for key in episode._TEXT]
+            assert indices not in stored and preferences not in stored
+            assert not any(scenario_mod._holds_bytes(value) for value in stored)
 
     @pytest.mark.parametrize("cap", [1, 3, 64])
     def test_memo_stays_within_its_cap(self, monkeypatch, cap):
