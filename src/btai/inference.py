@@ -28,9 +28,10 @@ DEFAULT_HORIZON = 2
 PROB_TOL = 1e-9
 IDLE = "Idle"
 #: most entries a process-wide table (see :func:`table`) holds: one each for
-#: the interned matrices, the memo's terms and rows, the rounds, the parsed
-#: document sections, the preference assemblies, the viable names and the
-#: trace texts.  A full table is emptied before its next insert.
+#: the interned matrices, the memo's terms and rows, the rounds, the tie-rule
+#: readings of beliefs, the parsed document sections, the preference
+#: assemblies, the viable names and the trace texts.  A full table is emptied
+#: before its next insert.
 TABLE_CAP = 4096
 _TABLES: list[dict] = []   # every table made by table()
 
@@ -306,17 +307,30 @@ class InferenceOutcome:
         }
 
 
+# The process-wide table of tie-rule readings: a belief's content, (shape,
+# float64 bytes) as in _MATRICES, -> the index logical_state reads it as.
+# Beliefs recur: the shipped workloads hold 18 to 29 distinct ones, so the
+# rule runs once per content.  A belief the rule rejects stores nothing.
+_LOGICAL: dict[tuple, int] = table()
+
+
 def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, int]:
     """Index of each belief's most likely value, by the one tie rule: entries
     within 1e-9 of the maximum count as tied, so floating-point residue of
     the clamped-log updates does not decide a tie, and a tie resolves to the
     lowest index.  Each belief must already hold its state's observation, as
-    :func:`btai.domain.update_beliefs` leaves it."""
+    :func:`btai.domain.update_beliefs` leaves it.  The rule runs once per
+    belief content (see :data:`_LOGICAL`)."""
     out: dict[str, int] = {}
     for sid, b in beliefs.items():
-        values = np.asarray(b, dtype=float).tolist()
-        top = max(values)
-        out[sid] = [v >= top - 1e-9 for v in values].index(True)
+        b = np.asarray(b, dtype=float)
+        key = (b.shape, b.tobytes())
+        index = _LOGICAL.get(key)
+        if index is None:
+            values = b.tolist()
+            top = max(values)
+            index = remember(_LOGICAL, key, [v >= top - 1e-9 for v in values].index(True))
+        out[sid] = index
     return out
 
 

@@ -23,6 +23,7 @@ from btai.inference import (
     check_categorical,
     check_stochastic_matrix,
     expected_free_energy,
+    logical_state,
     policy_posterior,
     safe_log,
     select_action,
@@ -292,6 +293,87 @@ class TestSelectAction:
     def test_one_probability_per_candidate(self):
         with pytest.raises(NoPoliciesError):
             select_action([0.5, 0.5], ["Idle"])
+
+
+def tie_rule(belief) -> int:
+    """The 1e-9 tie rule with no table: the reference for logical_state."""
+    values = np.asarray(belief, dtype=float).tolist()
+    top = max(values)
+    return [v >= top - 1e-9 for v in values].index(True)
+
+
+@st.composite
+def near_tied_beliefs(draw):
+    """A 1-D belief of 1-5 entries, some planted at, within or just past
+    1e-9 below its maximum, and some zeros given a negative sign."""
+    values = draw(st.lists(st.floats(0, 1), min_size=1, max_size=5))
+    top = max(values)
+    for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=3)):
+        values[i] = top - draw(st.sampled_from([0.0, 5e-10, 1e-9, 1.0000001e-9, 2e-9]))
+    return [-0.0 if v == 0 and draw(st.booleans()) else v for v in values]
+
+
+class TestTieRuleTable:
+    """``logical_state`` reads each belief's index from ``inference._LOGICAL``,
+    keyed by the belief's shape and float64 bytes, and runs the tie rule only
+    on a miss."""
+
+    def test_a_tie_and_a_near_tie_read_index_0(self):
+        inference.clear_tables()
+        beliefs = {"tie": np.array([0.5, 0.5]),
+                   "near": np.array([0.5 - 4e-10, 0.5 + 4e-10]),
+                   "clear": np.array([0.3, 0.7])}
+        for _ in range(2):   # cold, then warm
+            assert logical_state(beliefs) == {"tie": 0, "near": 0, "clear": 1}
+
+    def test_signed_zeros_key_their_own_entries(self):
+        inference.clear_tables()
+        beliefs = [[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0],
+                   [0.0, -0.0], [-0.0, 0.0]]
+        for _ in range(2):
+            for b in beliefs:
+                assert logical_state({"s": np.array(b)}) == {"s": tie_rule(b)}
+        assert len(inference._LOGICAL) == len(beliefs)
+
+    def test_a_list_is_read_as_its_array(self):
+        inference.clear_tables()
+        assert logical_state({"s": [0.2, 0.8]}) == {"s": 1}
+        assert logical_state({"s": np.array([0.2, 0.8])}) == {"s": 1}
+        assert len(inference._LOGICAL) == 1
+
+    def test_a_matrix_still_raises_type_error(self):
+        inference.clear_tables()
+        logical_state({"s": np.array([0.5, 0.5])})
+        # the same bytes as the stored vector: the shape keeps them apart
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                logical_state({"s": np.array([[0.5, 0.5]])})
+        assert len(inference._LOGICAL) == 1
+
+    def test_a_belief_the_rule_rejects_stores_nothing_and_raises_again(self):
+        inference.clear_tables()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                logical_state({"s": np.array([np.nan, 0.5])})
+            assert not inference._LOGICAL
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(near_tied_beliefs(), min_size=1, max_size=6))
+    def test_cold_warm_and_tiny_cap_reads_equal_the_rule(self, beliefs):
+        named = {f"s{i}": np.array(b) for i, b in enumerate(beliefs)}
+        expected = {sid: tie_rule(b) for sid, b in named.items()}
+        inference.clear_tables()
+        assert logical_state(named) == expected   # cold
+        assert logical_state(named) == expected   # warm
+        cap = inference.TABLE_CAP
+        inference.TABLE_CAP = 3   # emptied in the middle of a call
+        try:
+            inference.clear_tables()
+            for _ in range(2):
+                assert logical_state(named) == expected
+                assert len(inference._LOGICAL) <= 3
+        finally:
+            inference.TABLE_CAP = cap
 
 
 def example1_factor(preferences=(1.0, 0.0), prior=(0.5, 0.5)):
