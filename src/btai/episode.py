@@ -28,8 +28,8 @@ from .domain import (
     logical_state,
     update_beliefs,
 )
-from .inference import remember, table
-from .scenario import Scenario, _holds_bytes
+from .inference import remember_content, table
+from .scenario import Scenario
 from .selector import (
     SelectorVerdict,
     adaptive_select,
@@ -250,15 +250,12 @@ def run_episode(
 # vectors, each state's belief entry, preference maps, ids and names).
 # Fragments recur across ticks and episodes far more than records do, so
 # _text keeps each one's text in _TEXT, a process-wide table (see
-# inference.table), under one key: its marshal bytes, version 2, as in the
-# parse table (scenario._DOMAINS).  Marshal tells True, 1 and 1.0 apart, and
-# -0.0 from 0.0, and a list from a tuple; NaNs with equal bits share a key.
-# A key's text is the generic encoder's output for its content, so a line
-# has the bytes of json.dumps(record, separators=(",", ":")) for every
-# record with the fields and nesting of _make_record that json.dumps
-# accepts.  A subclass or a foreign type has no key (ValueError) and is
-# encoded without the memo; a buffer object (a numpy scalar, say) marshals
-# as bytes, so no text is stored for content that holds one.
+# inference.table), under its marshal bytes (the key rule of
+# inference.remember_content, as for scenario._DOMAINS).  A key's text is the
+# generic encoder's output for its content, so a line has the bytes of
+# json.dumps(record, separators=(",", ":")) for every record with the fields
+# and nesting of _make_record that json.dumps accepts; a value with no key is
+# encoded without the memo.
 #
 # Shared maps.  EpisodeContext.lists holds, per episode, one list form per
 # assembly with the assembly itself, so a record and its calls share one
@@ -275,12 +272,7 @@ def _text(value) -> str:
         key = marshal.dumps(value, 2)
     except ValueError:   # a subclass, a foreign type, or too deep
         return _encode(value)
-    text = _TEXT.get(key)
-    if text is None:
-        text = _encode(value)
-        if not _holds_bytes(marshal.loads(key)):
-            remember(_TEXT, key, text)
-    return text
+    return _TEXT.get(key) or remember_content(_TEXT, key, _encode(value))
 
 
 def _shared_preferences(preferences: dict, seen: dict) -> str:

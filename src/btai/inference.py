@@ -14,6 +14,8 @@ next action is read off the policy posterior.
 from __future__ import annotations
 
 import itertools
+import marshal
+import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -30,8 +32,8 @@ IDLE = "Idle"
 #: most entries a process-wide table (see :func:`table`) holds: one each for
 #: the interned matrices, the memo's terms and rows, the rounds, the tie-rule
 #: readings of beliefs, the parsed document sections, the preference
-#: assemblies, the viable names and the trace texts.  A full table is emptied
-#: before its next insert.
+#: assemblies and the trace texts.  A full table is emptied before its next
+#: insert.
 TABLE_CAP = 4096
 _TABLES: list[dict] = []   # every table made by table()
 
@@ -50,6 +52,37 @@ def remember(table: dict, key, value):
         table.clear()
     table[key] = value
     return value
+
+
+def remember_content(table: dict, key: Optional[bytes], value):
+    """Store ``value`` through :func:`remember` under ``key``, the bytes
+    ``marshal.dumps(content, 2)`` of the content it was made from; return it.
+    Marshal tells True, 1 and 1.0 apart, -0.0 from 0.0 and a list from a
+    tuple, NaNs with equal bits share a key, and version 2 writes no
+    back-references, so the bytes depend on the content alone.  A subclass,
+    a foreign type or too deep a nesting has no key (marshal raises
+    ValueError; pass None).  A buffer object (bytes, bytearray, a numpy
+    array or scalar) marshals as bytes, so two can share a key: nothing is
+    stored for content that holds one."""
+    if key is not None and not _holds_bytes(marshal.loads(key)):
+        remember(table, key, value)
+    return value
+
+
+def _holds_bytes(content) -> bool:
+    """Whether unmarshalled ``content`` holds a bytes object anywhere: the
+    mark of a buffer object in the content it was marshalled from."""
+    stack = [content]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, bytes):
+            return True
+        if isinstance(node, dict):
+            stack.extend(node)
+            stack.extend(node.values())
+        elif isinstance(node, (list, tuple, set, frozenset)):
+            stack.extend(node)
+    return False
 
 
 def clear_tables() -> None:
@@ -320,7 +353,8 @@ def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, int]:
     the clamped-log updates does not decide a tie, and a tie resolves to the
     lowest index.  Each belief must already hold its state's observation, as
     :func:`btai.domain.update_beliefs` leaves it.  The rule runs once per
-    belief content (see :data:`_LOGICAL`)."""
+    belief content (see :data:`_LOGICAL`).  A belief with a NaN or infinite
+    entry raises :class:`ModelError` naming its state."""
     out: dict[str, int] = {}
     for sid, b in beliefs.items():
         b = np.asarray(b, dtype=float)
@@ -328,6 +362,8 @@ def logical_state(beliefs: Mapping[str, np.ndarray]) -> dict[str, int]:
         index = _LOGICAL.get(key)
         if index is None:
             values = b.tolist()
+            if not all(map(math.isfinite, values)):
+                raise ModelError(f"belief of state {sid!r} must be finite")
             top = max(values)
             index = remember(_LOGICAL, key, [v >= top - 1e-9 for v in values].index(True))
         out[sid] = index

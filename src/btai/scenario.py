@@ -32,7 +32,7 @@ from .domain import (
     strict_str,
     strict_str_list,
 )
-from .inference import IDLE, remember, table
+from .inference import IDLE, remember_content, table
 from .world import PerturbationEvent, World
 
 FORMAT_VERSION = "btai-scenario/1"
@@ -47,14 +47,10 @@ class ScenarioError(ValueError):
 
 
 # The process-wide table of parsed sections: the marshal bytes, version 2,
-# of [states section, actions section] -> their Domain.  Marshal is exact
-# for the types it writes: True, 1 and 1.0 differ, and so do -0.0 and 0.0,
-# and a list and a tuple.  Version 2 writes no back-references, so the bytes
-# depend on the content alone, not on which objects it shares.  A subclass
-# or a foreign type has no key (ValueError), and neither has a buffer
-# object: bytes, bytearray, numpy arrays and numpy scalars all marshal as
-# bytes, so no entry is stored for content that holds one.  Only sections
-# that parsed are stored: content that fails is parsed, and fails, anew.
+# of [states section, actions section] -> their Domain, stored by
+# inference.remember_content, whose docstring gives the key rule.  Only
+# sections that parsed are stored: content that fails is parsed, and fails,
+# anew.
 _DOMAINS: dict[bytes, Domain] = table()
 
 
@@ -236,9 +232,7 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         key = None   # a subclass, a foreign type, or too deep or recursive
     domain = _DOMAINS.get(key)
     if domain is None:
-        domain = _parse_domain(data, source)
-        if key is not None and not _holds_bytes(marshal.loads(key)):
-            remember(_DOMAINS, key, domain)
+        domain = remember_content(_DOMAINS, key, _parse_domain(data, source))
     registry = domain.registry
 
     world = data["world"]
@@ -332,22 +326,6 @@ def _parse_domain(data: dict, source: str) -> Domain:
     if len(set(names)) != len(names):
         raise ScenarioError(source, "duplicate action names")
     return compile_domain(registry, actions)
-
-
-def _holds_bytes(content) -> bool:
-    """Whether unmarshalled ``content`` holds a bytes object anywhere: the
-    mark of a buffer object in the content it was marshalled from."""
-    stack = [content]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, bytes):
-            return True
-        if isinstance(node, dict):
-            stack.extend(node)
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple, set, frozenset)):
-            stack.extend(node)
-    return False
 
 
 def parse_scenario(path) -> Scenario:

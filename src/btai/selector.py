@@ -14,7 +14,7 @@ import numpy as np
 
 from .bt import TickStatus
 from .domain import ActionTemplate, Domain, Predicate, PriorSet, holds
-from .inference import IDLE, InferenceOutcome, remember, run_active_inference, table
+from .inference import IDLE, InferenceOutcome, run_active_inference
 
 
 @dataclass(slots=True)
@@ -40,11 +40,6 @@ def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
     return False
 
 
-# (a domain's actions, the logical state's items) -> the viable names, in domain
-# order; templates hash by identity, where a Domain would hash its StateVars
-_VIABLE: dict = table()
-
-
 def adaptive_select(
     priors: PriorSet,
     beliefs: Mapping[str, np.ndarray],
@@ -64,10 +59,8 @@ def adaptive_select(
     verdict = SelectorVerdict(TickStatus.RUNNING, removed_pushed=priors.remove_held(logical))
 
     # the logical state is fixed for the call, and with it the viable set;
-    # a chosen action whose preconditions are unmet leaves this call's copy
-    key = (domain.actions, *logical.items())
-    viable = list(_VIABLE.get(key) or remember(_VIABLE, key, tuple(
-        [a.name for a in domain.actions if _viable(a, logical)])))
+    # a chosen action whose preconditions are unmet leaves this call's list
+    viable = [a.name for a in domain.actions if _viable(a, logical)]
 
     while True:
         outcome = run_active_inference(domain.model, viable, observations, beliefs,

@@ -802,21 +802,21 @@ class TestTraceEncoding:
             assert episode._encode_record(edited) == dumps(edited)
             stored = [marshal.loads(key) for key in episode._TEXT]
             assert indices not in stored and preferences not in stored
-            assert not any(scenario_mod._holds_bytes(value) for value in stored)
+            assert not any(inference._holds_bytes(value) for value in stored)
 
     @pytest.mark.parametrize("cap", [1, 3, 64])
     def test_memo_stays_within_its_cap(self, monkeypatch, cap):
         monkeypatch.setattr(inference, "TABLE_CAP", cap)
         inference.clear_tables()
         remembered = []
-        remember = episode.remember
+        remember = inference.remember
 
         def counting_remember(table, key, text):
             if table is episode._TEXT:
                 remembered.append(key)
             return remember(table, key, text)
 
-        monkeypatch.setattr(episode, "remember", counting_remember)
+        monkeypatch.setattr(inference, "remember", counting_remember)
         for name in SHIPPED:
             for seed in range(3):
                 for record in run_noisy(name, seed).records:
@@ -868,7 +868,7 @@ class TestWarmEqualsCold:
     tables hold.  ``inference.clear_tables()`` empties every one of them: the
     planner's memo (terms and rows), its table of rounds, its matrix intern
     table, the tie-rule readings of beliefs, the parse table, the preference
-    assemblies, the viable names and the trace text memo."""
+    assemblies and the trace text memo."""
 
     CASES = [(name, seed) for name in SHIPPED for seed in range(3)]
 
@@ -946,6 +946,16 @@ def test_every_growing_module_dict_is_a_registered_table(tmp_path):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert not out.stdout.split(), f"dicts outside inference.table(): {out.stdout}"
+
+
+def test_the_registered_tables_are_the_seven_documented_ones():
+    # README § Performance and ROADMAP item 7 list these seven; a table
+    # added or removed must update that one list
+    tables = [inference._MATRICES, inference._MEMO, inference._ROUNDS,
+              inference._LOGICAL, scenario_mod._DOMAINS, btai.domain._ASSEMBLIES,
+              episode._TEXT]
+    assert sorted(map(id, inference._TABLES)) == sorted(map(id, tables))
+    assert len(inference._TABLES) == 7
 
 
 def test_episodes_leave_no_reference_cycles(tmp_path):

@@ -354,8 +354,19 @@ class TestTieRuleTable:
         inference.clear_tables()
         for _ in range(2):
             with pytest.raises(ValueError):
-                logical_state({"s": np.array([np.nan, 0.5])})
+                logical_state({"s": np.array([])})
             assert not inference._LOGICAL
+
+    @pytest.mark.parametrize("belief", [[0.5, math.nan], [math.nan, 0.5],
+                                        [math.inf, 0.0], [0.5, -math.inf]])
+    def test_a_non_finite_belief_raises_model_error_and_stores_nothing(self, belief):
+        # the rule alone reads [0.5, nan] as 0 and fails on [nan, 0.5] with
+        # "True is not in list": a NaN must not be read by its position
+        inference.clear_tables()
+        for _ in range(2):
+            with pytest.raises(ModelError, match="'s'"):
+                logical_state({"ok": np.array([0.2, 0.8]), "s": np.array(belief)})
+            assert len(inference._LOGICAL) == 1   # the finite belief only
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(near_tied_beliefs(), min_size=1, max_size=6))
