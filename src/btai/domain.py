@@ -14,6 +14,7 @@ higher priority, removed as soon as they hold).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -126,6 +127,12 @@ class ActionTemplate:
     ``postconditions`` lists (state_id, target index) pairs; ``transitions``
     holds the corresponding transition matrices (states not listed are left
     untouched, i.e. evolve under the identity).
+
+    ``post_read`` reads the values of all the postconditions' states from a
+    logical state in one C call, and ``post_held`` is what it reads when
+    every postcondition holds: the one index of a single postcondition, else
+    the tuple of indices.  ``post_read`` is None for an action without
+    postconditions.
     """
 
     name: str
@@ -140,6 +147,11 @@ class ActionTemplate:
             raise DomainError(f"action {self.name}: duration must be >= 1")
         if self.success_prob is not None and not 0.0 <= self.success_prob <= 1.0:
             raise DomainError(f"action {self.name}: success_prob must be in [0, 1]")
+        ids = tuple(sid for sid, _ in self.postconditions)
+        indices = tuple(idx for _, idx in self.postconditions)
+        # itemgetter of one key reads its value, of several the tuple of values
+        object.__setattr__(self, "post_read", operator.itemgetter(*ids) if ids else None)
+        object.__setattr__(self, "post_held", indices[0] if len(indices) == 1 else indices)
 
     @property
     def success_probability(self) -> float:
@@ -276,9 +288,9 @@ def update_beliefs(
             updated[sid] = b.copy()
             continue
         _, _, log_b = state.transitions[last_action.name] if acted else state.identity
-        v = log_b @ b
+        v = log_b @ b   # a new array, so the evidence is added in place
         if index is not None:
-            v = v + evidence(state.identity[2], index)
+            v += evidence(state.identity[2], index)
         updated[sid] = softmax(v)
     return updated
 

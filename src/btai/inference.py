@@ -105,10 +105,20 @@ def safe_log(p) -> np.ndarray:
 
 
 def softmax(v) -> np.ndarray:
-    """Stable softmax (max-subtracted); invariant to constant shifts."""
+    """Stable softmax (max-subtracted); invariant to constant shifts.
+
+    ``v`` must be a non-empty vector, else :class:`ModelError`.  The result
+    is a new array, ``exp(v - max(v)) / sum``, bit for bit: the shift is the
+    one array allocated, and exp and the division then run in place.  The
+    maximum is Python's ``max`` over the entries, exact in any order and
+    cheaper than numpy's on the 2-5 entries of a belief."""
     v = np.asarray(v, dtype=float)
-    z = np.exp(v - v.max())
-    return z / z.sum()
+    if v.ndim != 1 or not v.size:
+        raise ModelError("softmax needs a non-empty vector")
+    z = v - max(v.tolist())
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def check_categorical(p, name: str = "distribution") -> np.ndarray:

@@ -27,17 +27,16 @@ class SelectorVerdict:
     calls: list[InferenceOutcome] = field(default_factory=list)
 
 
-def _viable(action: ActionTemplate, logical: Mapping[str, int]) -> bool:
-    """An action is a candidate unless all its declared postconditions
-    already hold: such an action cannot improve anything, yet the entropy
-    term of the expected free energy would still reward its noisy
-    transitions."""
-    if not action.postconditions:
-        return True  # Idle and other pure no-ops stay available
-    for sid, idx in action.postconditions:
-        if logical[sid] != idx:
-            return True
-    return False
+def _viable(actions: Sequence[ActionTemplate], logical: Mapping[str, int]) -> list[str]:
+    """The names of the candidates among ``actions``, in their order.  An
+    action is a candidate unless all its declared postconditions already
+    hold: such an action cannot improve anything, yet the entropy term of
+    the expected free energy would still reward its noisy transitions.
+    Idle and other pure no-ops stay available.  Each template reads its
+    postconditions in one step (:attr:`ActionTemplate.post_read`), so the
+    list makes no Python call per action."""
+    return [a.name for a in actions
+            if a.post_read is None or a.post_read(logical) != a.post_held]
 
 
 def adaptive_select(
@@ -60,7 +59,7 @@ def adaptive_select(
 
     # the logical state is fixed for the call, and with it the viable set;
     # a chosen action whose preconditions are unmet leaves this call's list
-    viable = [a.name for a in domain.actions if _viable(a, logical)]
+    viable = _viable(domain.actions, logical)
 
     while True:
         outcome = run_active_inference(domain.model, viable, observations, beliefs,

@@ -1001,7 +1001,7 @@ class TestSelectorInvariants:
             pushed: dict[str, int] = {}
             for record in run_noisy(name, seed).records:
                 logical = record["logical"]
-                viable = [a for a in actions if _viable(a, logical)]
+                viable = _viable(actions, logical)
                 for verdict in record["selector"]:
                     where = (name, seed, record["tick"], verdict["node"])
                     assert len(verdict["calls"]) <= len(viable) + 1, where

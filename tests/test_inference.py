@@ -14,6 +14,14 @@ from modelgen import (
     run_on_factors,
 )
 from btai import inference
+from btai.domain import (
+    ActionTemplate,
+    StateRegistry,
+    StateVar,
+    achieve_matrix,
+    compile_domain,
+    update_beliefs,
+)
 from btai.inference import (
     EPS,
     Factor,
@@ -66,6 +74,114 @@ class TestSoftmax:
             v = rng.normal(size=4)
             c = rng.normal() * 100
             assert softmax(v + c) == pytest.approx(softmax(v), abs=1e-12)
+
+    @pytest.mark.parametrize("v", [np.float64(0.5), 0.5, np.zeros((2, 2)),
+                                   [[0.0, 1.0]], np.zeros((2, 0)), []])
+    def test_a_non_vector_or_an_empty_vector_raises(self, v):
+        # Python's max on a 2-D input would compare rows as lists
+        with pytest.raises(ModelError, match="non-empty vector"):
+            softmax(v)
+
+
+def old_softmax(v) -> np.ndarray:
+    """The softmax formula written out as it was before the max moved to
+    Python and exp and the division to in-place: numpy's max, then new
+    arrays for the shift, the exp and the quotient."""
+    v = np.asarray(v, dtype=float)
+    return np.exp(v - v.max()) / np.exp(v - v.max()).sum()
+
+
+def old_perception(belief, index, transition) -> np.ndarray:
+    """One state's perception step written out as it was before the
+    evidence was added in place; ``transition`` is None where the last
+    action declared none for the state."""
+    m = len(belief)
+    log_b = safe_log(np.eye(m) if transition is None else transition)
+    v = log_b @ np.asarray(belief, dtype=float)
+    if index is not None:
+        v = v + safe_log(np.eye(m))[index]
+    return old_softmax(v)
+
+
+#: entries where a float's last bit is easiest to lose: signed zeros,
+#: subnormals, the clamp's ln(1e-16) and its neighbours, and huge values
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                   1e300, -1e300, math.log(EPS), np.nextafter(math.log(EPS), 0.0),
+                   np.nextafter(math.log(EPS), -1.0), math.log(EPS) + 1e-9, 1.0, -1.0]
+
+
+@st.composite
+def belief_vectors(draw, m):
+    """``m`` non-negative entries, drawn as probabilities, zeros, subnormals
+    or one-hot, normalised when their sum is positive."""
+    kind = draw(st.sampled_from(["any", "one-hot", "special"]))
+    if kind == "one-hot":
+        return np.eye(m)[draw(st.integers(0, m - 1))]
+    entries = st.floats(0, 1) if kind == "any" else st.sampled_from(
+        [0.0, 5e-324, 1e-310, 1e-17, EPS, 0.5, 1.0])
+    b = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+    return b / b.sum() if b.sum() > 0 else b
+
+
+class TestSmallVectorArithmetic:
+    """``softmax`` takes its max in Python and runs exp and the division in
+    place, and ``update_beliefs`` adds the evidence in place: every result
+    keeps the bits of the formulas they replaced, and no input is written."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from(SPECIAL_ENTRIES),
+                                st.floats(math.log(EPS) - 1e-6, math.log(EPS) + 1e-6)),
+                      min_size=1, max_size=12))
+    def test_softmax_keeps_the_bits_of_the_old_formula(self, v):
+        assert softmax(v).tobytes() == old_softmax(v).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_update_beliefs_keeps_the_bits_of_the_old_formula(self, data):
+        sizes = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+        states = [StateVar(f"s{i}", m, tuple(f"v{j}" for j in range(m)))
+                  for i, m in enumerate(sizes)]
+        actions = [ActionTemplate("Idle")]
+        for k, s in enumerate(states):
+            target = data.draw(st.integers(0, s.m - 1))
+            actions.append(ActionTemplate(
+                f"act{k}", postconditions=((s.id, target),),
+                transitions={s.id: achieve_matrix(s.m, target)}))
+        model = compile_domain(StateRegistry(states), actions).model
+        last = data.draw(st.sampled_from([None] + actions))
+        beliefs, observations = {}, {}
+        for s in states:
+            beliefs[s.id] = data.draw(belief_vectors(s.m))
+            index = data.draw(st.one_of(st.none(), st.integers(0, s.m - 1)))
+            if index is not None or data.draw(st.booleans()):
+                observations[s.id] = index
+        out = update_beliefs(beliefs, observations, last, model)
+        for s in states:
+            transition = None if last is None else last.transitions.get(s.id)
+            index = observations.get(s.id)
+            want = (beliefs[s.id] if transition is None and index is None
+                    else old_perception(beliefs[s.id], index, transition))
+            assert out[s.id].tobytes() == want.tobytes(), s.id
+
+    def test_softmax_writes_no_input_and_returns_a_new_writable_array(self):
+        v = np.array([0.3, -1.0, 2.0])
+        v.flags.writeable = False
+        out = softmax(v)
+        assert out is not v and out.flags.writeable
+        assert v.tolist() == [0.3, -1.0, 2.0]
+
+    @pytest.mark.parametrize("acted", [False, True])
+    @pytest.mark.parametrize("index", [None, 0, 1])
+    def test_update_beliefs_writes_no_input(self, acted, index):
+        registry = StateRegistry([StateVar("s", 2, ("a", "b"))])
+        go = ActionTemplate("go", postconditions=(("s", 0),),
+                            transitions={"s": achieve_matrix(2, 0)})
+        model = compile_domain(registry, [ActionTemplate("Idle"), go]).model
+        b = np.array([0.25, 0.75])
+        b.flags.writeable = False
+        out = update_beliefs({"s": b}, {"s": index}, go if acted else None, model)
+        assert out["s"] is not b and out["s"].flags.writeable
+        assert b.tolist() == [0.25, 0.75]
 
 
 class TestValidation:

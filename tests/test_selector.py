@@ -193,7 +193,7 @@ class TestViableTable:
                 priors = PriorSet()
                 priors.set_nominal(prior, prior.targets)
                 verdict = adaptive_select(priors, beliefs, obs, logical, sc.domain)
-                expected = [a.name for a in sc.domain.actions if _viable(a, logical)]
+                expected = _viable(sc.domain.actions, logical)
                 assert list(verdict.calls[0].candidates) == expected, (warm, values)
 
     def test_a_push_chain_leaves_the_shared_names_whole(self):
@@ -228,6 +228,26 @@ class TestViableTable:
         assert priors.assemble_all(registry) is nominal_only(registry)
 
 
+def test_viable_reads_all_postconditions_in_one_step():
+    """``_viable`` reads each template's postconditions at once; it lists
+    what the rule pair by pair lists, in order: a candidate unless every
+    postcondition holds, and an action without postconditions always.  Two
+    indices on one state never hold together."""
+    actions = [ActionTemplate(IDLE),
+               ActionTemplate("one", postconditions=(("a", 1),)),
+               ActionTemplate("two", postconditions=(("a", 0), ("b", 2))),
+               ActionTemplate("three", postconditions=(("b", 1), ("c", 0), ("a", 1))),
+               ActionTemplate("clash", postconditions=(("b", 0), ("b", 1)))]
+    for a, b, c in itertools.product(range(2), range(3), range(2)):
+        logical = {"a": a, "b": b, "c": c}
+        want = [x.name for x in actions
+                if not x.postconditions or any(logical[sid] != idx
+                                               for sid, idx in x.postconditions)]
+        assert _viable(actions, logical) == want, logical
+    with pytest.raises(KeyError):
+        _viable(actions, {"a": 0})
+
+
 def test_a_tied_belief_is_read_four_ways():
     """Pins how the four readings of one state's value disagree after a
     confident belief meets a contradicting noiseless observation.  ROADMAP
@@ -251,7 +271,7 @@ def test_a_tied_belief_is_read_four_ways():
     assert observations["s"] == 1
     assert logical == {"s": 0}
     assert holds(Predicate("s", 0), logical)
-    assert not _viable(to_zero, logical)
+    assert _viable([to_zero], logical) == []
     candidates = [IDLE, to_zero.name]
     prefers_one = run_active_inference(domain.model, candidates, observations, beliefs,
                                        {"s": np.array([0.0, 1.0])})
